@@ -6,15 +6,13 @@ reader threads answer batched SD-Query traffic while writer threads apply
 inserts and deletes to the same sharded engine.  Two concurrency designs are
 measured on identical workloads:
 
-* **snapshot** — the default ``concurrency="snapshot"`` engine: every serving
-  call pins an immutable epoch cut and runs lock-free; writers prepare
-  copy-on-write successors and publish them atomically.  Readers overlap each
-  other (the numpy kernels release the GIL) and never wait for writers.
-* **coarse-lock** — the design snapshots replace: one global mutex around
-  every read and write (the engine runs ``concurrency="unsafe"``, which is
-  sound under the global lock and gives the baseline the cheaper in-place
-  write path).  Readers serialize behind each other and stall whenever a
-  writer holds the lock.
+* **snapshot** — the default engine as is: every serving call pins an
+  immutable epoch cut and runs lock-free; writers prepare copy-on-write
+  successors and publish them atomically.  Readers overlap each other (the
+  numpy kernels release the GIL) and never wait for writers.
+* **coarse-lock** — the design snapshots replace: the same default engine
+  behind one global mutex around every read and write.  Readers serialize
+  behind each other and stall whenever a writer holds the lock.
 
 Two scenarios, both at the serve-while-mutate contract:
 
@@ -121,15 +119,16 @@ class CoarseLockEngine:
         self._inner.close()
 
 
-def build_engine(data: np.ndarray, concurrency: str) -> ShardedIndex:
-    return ShardedIndex(
+def build_engine(data: np.ndarray, design: str):
+    """The default sharded engine, behind a global mutex for ``"coarse_lock"``."""
+    inner = ShardedIndex(
         data,
         repulsive=REPULSIVE,
         attractive=ATTRACTIVE,
         num_shards=NUM_SHARDS,
         partitioner="range",
-        concurrency=concurrency,
     )
+    return inner if design == "snapshot" else CoarseLockEngine(inner)
 
 
 def run_storm(engine, reads, script) -> Tuple[float, float]:
@@ -195,10 +194,9 @@ def run_storm(engine, reads, script) -> Tuple[float, float]:
     return read_seconds, total_seconds
 
 
-def run_maintenance_latency(concurrency: str, data, reads, script) -> dict:
+def run_maintenance_latency(design: str, data, reads, script) -> dict:
     """Per-read latency while a writer runs insert bursts + full rebalances."""
-    inner = build_engine(data, concurrency)
-    engine = inner if concurrency == "snapshot" else CoarseLockEngine(inner)
+    engine = build_engine(data, design)
     engine.batch_query(reads)  # warm sessions
     latencies = []
     lat_lock = threading.Lock()
@@ -256,21 +254,20 @@ def run_maintenance_latency(concurrency: str, data, reads, script) -> dict:
     }
 
 
-def measure(concurrency: str, data, reads, scripts) -> dict:
+def measure(design: str, data, reads, scripts) -> dict:
     """Throughput of one engine design across the write mixes."""
     results = {}
     for mix in WRITE_MIXES:
         best = float("inf")
         best_total = float("inf")
         for repetition in range(max(1, REPEAT)):
-            inner = build_engine(data, concurrency)
-            engine = inner if concurrency == "snapshot" else CoarseLockEngine(inner)
+            engine = build_engine(data, design)
             engine.batch_query(reads)  # warm sessions before the clock starts
             read_seconds, total_seconds = run_storm(engine, reads, scripts[mix])
-            if concurrency == "snapshot":
-                report = inner._topology.leak_report()
+            if design == "snapshot":
+                report = engine._topology.leak_report()
                 assert report["pinned_readers"] == 0 and report["live_epochs"] == 1
-                for shard in inner._shards:
+                for shard in engine._shards:
                     shard_report = shard.serving_session().epochs.leak_report()
                     assert shard_report["pinned_readers"] == 0
             engine.close()
@@ -312,7 +309,7 @@ def main() -> int:
     # Correctness gate: both designs answer the read batch bit-identically on
     # the static dataset before any clocks run.
     snapshot_engine = build_engine(data, "snapshot")
-    locked_engine = build_engine(data, "unsafe")
+    locked_engine = build_engine(data, "coarse_lock")
     expected = locked_engine.batch_query(reads)
     answered = snapshot_engine.batch_query(reads)
     identical = all(
@@ -342,7 +339,7 @@ def main() -> int:
     locked_engine.close()
 
     snapshot = measure("snapshot", data, reads, scripts)
-    coarse = measure("unsafe", data, reads, scripts)
+    coarse = measure("coarse_lock", data, reads, scripts)
 
     mixes = []
     for mix in WRITE_MIXES:
@@ -366,7 +363,7 @@ def main() -> int:
         "snapshot", data, reads, maintenance_script
     )
     latency_coarse = run_maintenance_latency(
-        "unsafe", data, reads, maintenance_script
+        "coarse_lock", data, reads, maintenance_script
     )
     latency_ratio = latency_coarse["p95_seconds"] / latency_snapshot["p95_seconds"]
 

@@ -50,7 +50,7 @@ def main() -> None:
         fanout=2,
         background_compaction=True,
     )
-    print(f"  compaction policy: {index.compaction}\n")
+    print("  compaction policy: size-tiered (flush_rows=64, fanout=2)\n")
 
     # --- the write storm ------------------------------------------------------
     storm_rounds = 300

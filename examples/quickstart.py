@@ -113,10 +113,10 @@ def main() -> None:
     # --- the cached query session survives updates ------------------------------
     # Every query above ran on the same *cached session*: the projection trees
     # flattened into numpy arrays, built lazily on the first query.  Updates do
-    # not invalidate it — inserts are appended to the covering leaf (loosening
-    # only that leaf's bounds), deletes are tombstoned in a validity mask — so
-    # serving keeps its speed across churn.  bulk_insert/bulk_delete apply one
-    # vectorized patch for a whole burst.
+    # not invalidate it — inserts land in a small mutable delta, deletes are
+    # tombstoned in a level's validity mask, and flushes fold the delta into
+    # immutable levels — so serving keeps its speed across churn.
+    # bulk_insert/bulk_delete apply one vectorized update for a whole burst.
     session = index.query_session()
     burst = rng.random((500, 4))
     burst_rows = index.bulk_insert(burst)
@@ -124,11 +124,11 @@ def main() -> None:
     stats = session.maintenance_stats()
     print(f"\nSession after a 500-insert / 250-delete burst: "
           f"{stats['patched_inserts']} inserts and {stats['patched_deletes']} deletes "
-          f"patched in place, {stats['reflattens']} reflattens")
+          f"absorbed, {stats['reflattens']} reflattens")
 
-    # The session reflattens itself only once garbage + appended rows exceed a
-    # quarter of the live points (the projection tree's own rebuild policy) —
-    # lazily, on the next query.  Force it eagerly from a maintenance window:
+    # Level tombstones past a quarter of the live points trigger a merge (the
+    # projection tree's own rebuild policy).  A maintenance window can also
+    # rebuild the session from scratch eagerly:
     index.refresh_session()
     print("After refresh_session():", session.maintenance_stats())
 
@@ -179,8 +179,8 @@ def main() -> None:
           f"skew now {sharded.skew():.2f}")
 
     # --- serve while mutating: epoch snapshots ----------------------------------
-    # Every engine defaults to concurrency="snapshot" (DESIGN.md section 6):
-    # reads pin an immutable epoch, writers publish copy-on-write successors,
+    # Every engine serves through epochs (DESIGN.md section 6): reads pin an
+    # immutable epoch, writers publish copy-on-write successors,
     # so reader threads stay correct while writer threads insert, delete and
     # even rebalance.  snapshot() exposes the same mechanism explicitly as a
     # repeatable-read view — pin it, and the answers cannot move under you.

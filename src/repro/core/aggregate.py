@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.angles import AngleGrid
-from repro.core.epoch import validate_concurrency
 from repro.core.pairing import DimensionPairing, pair_dimensions
 from repro.core.query import SDQuery, make_fast_scorer, sd_score
 from repro.core.results import Match, TopKResult
@@ -111,8 +110,6 @@ class SubproblemAggregator:
         branching: int = 8,
         leaf_capacity: int = 32,
         row_ids: Optional[Sequence[int]] = None,
-        concurrency: str = "snapshot",
-        compaction: str = "size_tiered",
         flush_rows: Optional[int] = None,
         fanout: Optional[int] = None,
         background_compaction: bool = True,
@@ -120,29 +117,15 @@ class SubproblemAggregator:
         matrix = np.asarray(data, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("data must be an (n, m) matrix")
-        validate_concurrency(concurrency)
-        from repro.core.lsm import validate_compaction
-
-        validate_compaction(compaction)
-        #: Maintenance shape of the sessions this aggregator creates:
-        #: ``"size_tiered"`` (default) gives LSM sessions — delta absorbs
-        #: writes, immutable levels serve the bulk, a compactor folds them
-        #: down (DESIGN.md section 11); ``"legacy"`` keeps the in-place
-        #: patch + 25%-garbage reflatten behavior.  LSM requires snapshot
-        #: publication, so ``concurrency="unsafe"`` always gets legacy
-        #: sessions regardless of this knob.
-        self.compaction = compaction
+        #: Options of the LSM sessions this aggregator creates: the delta
+        #: absorbs writes, immutable levels serve the bulk, a compactor folds
+        #: them down (DESIGN.md section 11).
         self._lsm_options: Dict[str, object] = {}
         if flush_rows is not None:
             self._lsm_options["flush_rows"] = int(flush_rows)
         if fanout is not None:
             self._lsm_options["fanout"] = int(fanout)
         self._lsm_options["background"] = bool(background_compaction)
-        #: Concurrency mode inherited by every session this aggregator creates:
-        #: ``"snapshot"`` (default) publishes copy-on-write epochs so reads
-        #: under writes are safe; ``"unsafe"`` patches in place (legacy,
-        #: single-threaded mutation only).  See DESIGN.md section 6.
-        self.concurrency = concurrency
         #: Serializes writers (and session rebuilds, which read the structures
         #: writers mutate).  Reentrant: a writer patch may trigger a rebuild.
         self._write_lock = threading.RLock()
@@ -192,7 +175,7 @@ class SubproblemAggregator:
         }
         self._columns_dirty = False
         self._mutations = 0
-        #: Live query sessions patched in place on every update (weak refs so
+        #: Live query sessions every update is pushed to (weak refs so
         #: abandoned sessions disappear), plus the lazily built serving session
         #: backing the single-query fast path and ``batch_query``.
         self._sessions: List[weakref.ref] = []
@@ -241,7 +224,7 @@ class SubproblemAggregator:
 
     # ------------------------------------------------------------------ updates
     def _register_session(self, session) -> None:
-        """Track a session so updates can patch it in place."""
+        """Track a session so every update reaches it."""
         self._sessions = [ref for ref in self._sessions if ref() is not None]
         self._sessions.append(weakref.ref(session))
 
@@ -257,21 +240,16 @@ class SubproblemAggregator:
         self._sessions = alive
 
     def _maintain_sessions(self) -> None:
-        """Post-write LSM trigger: let every layered session schedule work.
+        """Post-write LSM trigger: let every session schedule work.
 
-        Called by the mutators while still holding the write lock; LSM
-        sessions either hand the due flush/merge to their background
-        compactor thread or (inline mode) perform it now under the already
-        held reentrant lock.  Legacy sessions have no such hook and are
-        skipped.
+        Called by the mutators while still holding the write lock; sessions
+        either hand the due flush/merge to their background compactor thread
+        or (inline mode) perform it now under the already held reentrant lock.
         """
         for ref in self._sessions:
             session = ref()
-            if session is None:
-                continue
-            trigger = getattr(session, "maybe_maintain", None)
-            if trigger is not None:
-                trigger()
+            if session is not None:
+                session.maybe_maintain()
 
     def _validate_new_point(self, point) -> np.ndarray:
         vector = np.asarray(point, dtype=float)
@@ -292,8 +270,8 @@ class SubproblemAggregator:
     def insert(self, point: Sequence[float], row_id: Optional[int] = None) -> int:
         """Insert a point into every subproblem structure.
 
-        Live query sessions are patched in place (an appended row per session)
-        rather than invalidated — see :meth:`session`.
+        Live query sessions absorb the row into their delta rather than
+        being invalidated — see :meth:`session`.
         """
         vector = self._validate_new_point(point)
         with self._write_lock:
@@ -316,8 +294,8 @@ class SubproblemAggregator:
 
         Semantically identical to calling :meth:`insert` in a loop, but the
         whole batch is validated up front, counts as a single mutation, and
-        live query sessions are patched with one vectorized splice instead of
-        one patch per point.
+        live query sessions absorb it with one vectorized append instead of
+        one per point.
         """
         matrix = np.asarray(points, dtype=float)
         if matrix.size == 0:
@@ -355,7 +333,7 @@ class SubproblemAggregator:
     def delete(self, row_id: int) -> None:
         """Delete a point from every subproblem structure.
 
-        Live query sessions tombstone the row through their validity mask
+        Live query sessions tombstone the row through a validity mask
         instead of being invalidated.
         """
         row_id = int(row_id)
@@ -505,8 +483,8 @@ class SubproblemAggregator:
     def serving_session(self):
         """The cached query session backing ``query_fast`` and ``batch_query``.
 
-        Built on first use and then kept valid across updates by in-place
-        patching; it only reflattens once its garbage threshold trips.
+        Built on first use and then kept valid across updates by its LSM
+        write path (delta appends, level tombstones, flushes and merges).
         """
         self._check_closed()
         if self._serving_session is None:
@@ -527,8 +505,8 @@ class SubproblemAggregator:
         """A shared-traversal batch query session over the current point set.
 
         The session snapshots the live points and flattens every 2D projection
-        tree once; it stays valid across updates because the aggregator patches
-        it in place (see :class:`repro.core.batch.QuerySession`).  By default
+        tree once; it stays valid across updates because the aggregator pushes
+        every update into it (see :class:`repro.core.lsm.LsmSession`).  By default
         this returns the shared serving session; pass ``cached=False`` (or a
         custom ``seed_pool``) for a private one.
         """
@@ -537,23 +515,10 @@ class SubproblemAggregator:
         return self._make_session(seed_pool)
 
     def _make_session(self, seed_pool: Optional[int] = None):
-        """Construct a fresh session of the configured maintenance shape.
+        """Construct a fresh LSM session (:class:`repro.core.lsm.LsmSession`)."""
+        from repro.core.lsm import LsmSession
 
-        ``compaction="size_tiered"`` under snapshot publication yields an
-        LSM session (:class:`repro.core.lsm.LsmSession`); ``"legacy"`` — or
-        any mode under ``concurrency="unsafe"``, which cannot publish the
-        copy-on-write worlds LSM maintenance is defined by — yields the
-        in-place :class:`repro.core.batch.QuerySession`.
-        """
-        if self.compaction != "legacy" and self.concurrency == "snapshot":
-            from repro.core.lsm import LsmSession
-
-            return LsmSession(self, seed_pool=seed_pool, **self._lsm_options)
-        from repro.core.batch import QuerySession
-
-        if seed_pool is None:
-            return QuerySession(self)
-        return QuerySession(self, seed_pool=seed_pool)
+        return LsmSession(self, seed_pool=seed_pool, **self._lsm_options)
 
     def batch_query(self, queries, k=None, alpha=None, beta=None):
         """Answer a batch of SD-Queries with the vectorized execution engine.
@@ -574,26 +539,20 @@ class SubproblemAggregator:
         ``("flush",)`` or ``("compact", seqs)``, the shape
         :class:`~repro.core.persistence.DurableIndex` journals as WAL records
         so ``recover()`` can replay the exact level layout.  No-op (empty
-        list) for legacy sessions or when nothing is due.
+        list) before the serving session exists or when nothing is due.
         """
         session = self._serving_session
-        if session is None or not hasattr(session, "maintain"):
+        if session is None:
             return []
         return session.maintain()
 
     def lsm_flush(self) -> bool:
         """Force the serving session's delta into a fresh level (False if empty)."""
-        session = self.serving_session()
-        if not hasattr(session, "flush"):
-            return False
-        return session.flush()
+        return self.serving_session().flush()
 
     def lsm_compact(self, seqs: Optional[Sequence[int]] = None):
         """Merge the serving session's levels (all by default); returns the seqs."""
-        session = self.serving_session()
-        if not hasattr(session, "compact"):
-            return None
-        return session.compact(seqs)
+        return self.serving_session().compact(seqs)
 
     def set_auto_compaction(self, enabled: bool) -> None:
         """Enable/disable self-scheduled maintenance on the serving session.
@@ -601,26 +560,21 @@ class SubproblemAggregator:
         A durability wrapper disables it so every flush/compact happens
         through :meth:`lsm_maintain` — synchronously, in journal order.
         """
-        session = self.serving_session()
-        if hasattr(session, "auto_compaction"):
-            session.auto_compaction = bool(enabled)
+        self.serving_session().auto_compaction = bool(enabled)
 
     def quiesce_maintenance(self) -> None:
         """Join any in-flight background compaction across live sessions."""
         for ref in list(self._sessions):
             session = ref()
-            if session is None:
-                continue
-            quiesce = getattr(session, "quiesce", None)
-            if quiesce is not None:
-                quiesce()
+            if session is not None:
+                session.quiesce()
 
     def maintenance_stats(self) -> Dict[str, int]:
         """The serving session's maintenance counters.
 
-        LSM sessions add their layering counters (``levels``, ``delta_live``,
-        ``flushes``, ``compactions``, ``delta_absorbed_deletes``) to the base
-        patch/reflatten/epoch counters every session reports.
+        The base patch/reflatten/epoch counters plus the layering counters
+        (``levels``, ``delta_live``, ``flushes``, ``compactions``,
+        ``delta_absorbed_deletes``).
         """
         return self.serving_session().maintenance_stats()
 

@@ -43,13 +43,12 @@ module amortizes it:
   walks each layer and its admissibility argument; the net over-fetch versus
   the sequential oracle is ~1.2x, CI-gated at 2.5
   (``REPRO_BENCH_BATCH_MAX_OVERFETCH``).
-* **Incremental maintenance.**  A :class:`QuerySession` is no longer a
-  throw-away snapshot: the owning aggregator patches every live session in
-  place on ``insert``/``delete``/``bulk_insert``/``bulk_delete`` — appending
-  leaf-assigned rows, loosening the affected per-leaf bounds, tombstoning
-  deletions through a validity mask — and the session reflattens itself lazily
-  only once accumulated garbage/imbalance crosses a threshold, mirroring the
-  projection tree's own rebuild policy (see DESIGN.md).
+* **Maintained sessions.**  A :class:`QuerySession` is not a throw-away
+  snapshot: the owning aggregator pushes every ``insert``/``delete``/
+  ``bulk_insert``/``bulk_delete`` into its live sessions, which are
+  :class:`repro.core.lsm.LsmSession`\\ s — a mutable delta over immutable
+  levels, each level one :class:`SessionState` these kernels execute against
+  (DESIGN.md section 11).
 
 This makes the flattened arrays the primary execution substrate: the ``m = 1``
 fast path of ``SDIndex.query`` runs through the same kernels and stays
@@ -75,7 +74,7 @@ import numpy as np
 from repro import faults
 from repro.core.angles import refine_angles
 from repro.core.deadline import Deadline
-from repro.core.epoch import EpochManager, validate_concurrency
+from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, Match, TopKResult
@@ -130,9 +129,9 @@ _VERIFY_POOL = 64
 #: shapes the projection trees is untouched, so refinement never rebuilds.
 _BOUND_GRID_REFINE = 4
 
-#: Fraction of live rows worth of accumulated garbage (tombstones) plus
-#: imbalance (bound-loosening appends) a session tolerates before it
-#: reflattens, mirroring ``ProjectionTree.rebuild_threshold``.
+#: Fraction of live rows worth of level tombstones a session tolerates before
+#: its maintenance collects them with a compaction, mirroring
+#: ``ProjectionTree.rebuild_threshold``.
 _REFLATTEN_THRESHOLD = 0.25
 
 
@@ -970,12 +969,10 @@ class SessionState:
     Everything the vectorized kernels read lives here: the snapshot row ids
     and coordinate matrix, the validity mask, the per-pair flattened trees
     (with their per-leaf bounds), the sorted-column arrays and the
-    id->position maps.  Under ``concurrency="snapshot"`` readers pin one
-    ``SessionState`` through the session's
+    id->position maps.  A state is never mutated once published: readers
+    pin it (inside an LSM level) through the session's
     :class:`~repro.core.epoch.EpochManager` and execute entirely against it,
-    so writers preparing the next state can never tear a read; under
-    ``concurrency="unsafe"`` the same object is patched in place (the legacy
-    single-threaded behavior).
+    so writers preparing the next state can never tear a read.
     """
 
     __slots__ = (
@@ -1030,20 +1027,6 @@ class SessionState:
             return np.empty(0, dtype=np.int64)
         return self.row_order[np.searchsorted(self.sorted_rows, row_ids)]
 
-    def assign_from(self, other: "SessionState") -> None:
-        """Overwrite every field in place (the ``concurrency="unsafe"`` path)."""
-        for slot in SessionState.__slots__:
-            setattr(self, slot, getattr(other, slot))
-
-    def garbage_fraction(self) -> float:
-        """Accumulated garbage + imbalance relative to the live population.
-
-        Division-safe when every row is tombstoned (live population 0): the
-        denominator saturates at 1 so a fully emptied session reports a large
-        finite fraction and reflattens into a valid empty view.
-        """
-        return (self.appended + self.tombstoned) / max(self.num_live, 1)
-
     def live_row_ids(self) -> np.ndarray:
         """Row ids alive in this epoch (frozen-oracle support for tests)."""
         return self.rows[self.live]
@@ -1061,25 +1044,17 @@ class QuerySession:
     :meth:`run_one`) can then be answered against the shared state with
     :meth:`run`.
 
-    Sessions survive index mutation: the owning aggregator registers every
-    session it creates and patches the flattened arrays on each
-    ``insert``/``delete``/``bulk_insert``/``bulk_delete`` — appended rows are
-    leaf-assigned and loosen only the covering leaf's bounds, deletions are
-    tombstoned through a validity mask, and the 1D sorted-column state is
-    spliced incrementally.  Once accumulated garbage plus imbalance exceeds
-    ``reflatten_threshold`` (a fraction of the live population, mirroring the
-    projection tree's rebuild policy) the session marks itself dirty and
-    reflattens lazily on the next :meth:`run` — call :meth:`reflatten` to force
-    it eagerly.  See DESIGN.md for the maintenance policy discussion.
+    This class is the read side: the vectorized kernels over one
+    :class:`SessionState`, the epoch manager readers pin, and the lazy
+    rebuild of a stale session.  The write side lives in its subclass
+    :class:`repro.core.lsm.LsmSession`, which supplies :meth:`_build` and the
+    ``apply_*`` surface the owning aggregator pushes every update through,
+    and publishes layered worlds whose levels these kernels execute against.
 
-    **Concurrency.**  The execution state lives in epoch-published
-    :class:`SessionState` objects (DESIGN.md section 6).  Under the default
-    ``concurrency="snapshot"`` every patch builds a successor state
-    copy-on-write (cloning exactly the arrays it would have mutated in place)
-    and publishes it atomically, so readers that pinned an epoch — via
-    :meth:`snapshot` or implicitly per :meth:`run` — are immune to concurrent
-    writers.  ``concurrency="unsafe"`` patches the current state in place:
-    slightly cheaper, but only sound with single-threaded mutation.
+    **Concurrency.**  Published states are immutable (DESIGN.md section 6):
+    every update builds a successor copy-on-write and publishes it
+    atomically, so readers that pinned an epoch — via :meth:`snapshot` or
+    implicitly per :meth:`run` — are immune to concurrent writers.
     """
 
     def __init__(
@@ -1087,11 +1062,7 @@ class QuerySession:
         aggregator,
         seed_pool: int = _SEED_POOL,
         reflatten_threshold: float = _REFLATTEN_THRESHOLD,
-        concurrency: Optional[str] = None,
     ) -> None:
-        if concurrency is None:
-            concurrency = getattr(aggregator, "concurrency", "snapshot")
-        validate_concurrency(concurrency)
         self._aggregator = aggregator
         self._seed_pool = int(seed_pool)
         if self._seed_pool < 1:
@@ -1100,7 +1071,6 @@ class QuerySession:
             # query — full scans that *look* like correct (slow) answers.
             raise ValueError(f"seed_pool must be >= 1, got {seed_pool}")
         self.reflatten_threshold = float(reflatten_threshold)
-        self.concurrency = concurrency
         #: Epoch manager of the published execution states; readers pin, the
         #: writer (the owning aggregator's patch path) publishes.
         self.epochs = EpochManager()
@@ -1108,7 +1078,6 @@ class QuerySession:
         self.reflattens = 0
         self.patched_inserts = 0
         self.patched_deletes = 0
-        self._dirty = False
         # Building reads the aggregator's structures; registration makes the
         # session visible to its patch path — both under the writer lock so a
         # concurrent mutation can neither tear the build nor miss the session.
@@ -1123,33 +1092,24 @@ class QuerySession:
 
         Read atomically through the epoch manager: a publish racing this read
         may reclaim the *epoch*, but the returned state object itself is
-        immutable (snapshot mode) and stays valid for the holder.
+        immutable and stays valid for the holder.
         """
         return self.epochs.current_state()
 
-    def _install(self, state: SessionState) -> None:
-        """Make ``state`` current: publish a new epoch, or patch in place."""
-        if self.concurrency == "snapshot":
-            self.epochs.publish(state)
-        else:
-            self._state.assign_from(state)
-
     def _build(self) -> None:
-        """(Re)build the flattened execution state from the aggregator."""
-        self.epochs.publish(self._flatten_state())
+        """(Re)build and publish the execution state (the subclass's job)."""
+        raise NotImplementedError
 
     def _flatten_state(self) -> SessionState:
         """Flatten the aggregator's live structures into one execution state.
 
-        Shared by the in-place session (:meth:`_build` publishes it directly)
-        and the LSM session (:mod:`repro.core.lsm`), which wraps it as the
-        initial immutable level of its layered world.
+        The LSM session (:mod:`repro.core.lsm`) wraps it as the single
+        immutable level of a freshly (re)built world.
         """
         aggregator = self._aggregator
         if aggregator._columns_dirty:
             aggregator._refresh_columns()
         self._generation = aggregator.mutations
-        self._dirty = False
 
         deleted = aggregator._deleted
         extras = aggregator._extra_points
@@ -1212,7 +1172,7 @@ class QuerySession:
             state.pair_leaf_of_position.append(leaf_of_position)
 
         # Session-owned sorted-column state (values stay aligned with the
-        # snapshot positions); patched incrementally, never rebuilt per update.
+        # snapshot positions).
         for dim in aggregator._column_dims:
             column = aggregator._columns[dim]
             state.col_values[dim] = np.array(column.values)
@@ -1223,7 +1183,7 @@ class QuerySession:
     @property
     def needs_reflatten(self) -> bool:
         """True once the next :meth:`run` will rebuild the flattened state."""
-        return self._dirty or self._generation != self._aggregator.mutations
+        return self._generation != self._aggregator.mutations
 
     def reflatten(self) -> None:
         """Force an eager rebuild of the flattened state (counts in ``reflattens``)."""
@@ -1232,7 +1192,7 @@ class QuerySession:
             self._build()
 
     def _fresh_state(self) -> SessionState:
-        """The current state, rebuilt first if garbage or staleness demands it.
+        """The current state, rebuilt first if the session went stale.
 
         The rebuild reads the aggregator's structures, so it happens under the
         aggregator's write lock; concurrent readers that lost the race simply
@@ -1250,155 +1210,6 @@ class QuerySession:
         Defined (saturating denominator) even when every row is tombstoned.
         """
         return self._state.garbage_fraction()
-
-    def _check_garbage(self, state: SessionState) -> None:
-        if (state.appended + state.tombstoned) > self.reflatten_threshold * max(
-            state.num_live, 1
-        ):
-            self._dirty = True
-
-    def apply_insert(self, row_id: int, vector: np.ndarray) -> None:
-        """Patch one inserted point into the session (called by the aggregator)."""
-        self.apply_bulk_insert(
-            np.asarray([row_id], dtype=np.int64), np.asarray(vector, dtype=float)[None, :]
-        )
-
-    def apply_bulk_insert(self, row_ids, matrix) -> None:
-        """Patch a batch of inserted points into a successor execution state.
-
-        Under ``concurrency="snapshot"`` the successor is built copy-on-write
-        and published as a new epoch; under ``"unsafe"`` the current state's
-        fields are overwritten in place.
-        """
-        self._generation = self._aggregator.mutations
-        if self._dirty:
-            return
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        matrix = np.asarray(matrix, dtype=float)
-        count = len(row_ids)
-        if count == 0:
-            return
-        state = self._state
-        if any(flat.num_leaves == 0 for _, _, flat in state.pairs):
-            # The flat view was built over an empty tree; nothing to patch
-            # into.  Mark dirty so the next read reflattens into a valid
-            # non-empty view (regression: fully-emptied-then-refilled index).
-            self._dirty = True
-            return
-        cow = self.concurrency == "snapshot"
-        start = len(state.rows)
-        new_positions = np.arange(start, start + count, dtype=np.int64)
-        rows = np.concatenate([state.rows, row_ids])
-        full_matrix = (
-            np.vstack([state.matrix, matrix]) if len(state.matrix) else matrix.copy()
-        )
-        live = np.concatenate([state.live, np.ones(count, dtype=bool)])
-        columns_by_dim = {
-            dim: np.concatenate([values, np.ascontiguousarray(matrix[:, dim])])
-            for dim, values in state.columns_by_dim.items()
-        }
-        # Maintain the sorted row-id -> position map.
-        id_order = np.argsort(row_ids, kind="stable")
-        sorted_new = row_ids[id_order]
-        insert_at = np.searchsorted(state.sorted_rows, sorted_new)
-        sorted_rows = np.insert(state.sorted_rows, insert_at, sorted_new)
-        row_order = np.insert(state.row_order, insert_at, new_positions[id_order])
-        # Patch every pair tree (cloned copy-on-write under snapshot mode, so
-        # pinned epochs keep their bounds and masks) and its inverse leaf map.
-        pairs: List[Tuple[int, int, _FlatTree]] = []
-        pair_leaf_of_position: List[np.ndarray] = []
-        for p, (rep_dim, att_dim, flat) in enumerate(state.pairs):
-            # Clone for snapshot isolation — and also whenever the flat view's
-            # patched arrays are read-only (a snapshot restored with
-            # ``load(..., mmap=True)`` memory-maps them): ``append_points``
-            # must never write into a mapped file.
-            if cow or not flat.live.flags.writeable:
-                flat = flat.clone()
-            leaves = flat.append_points(row_ids, matrix[:, att_dim], matrix[:, rep_dim])
-            pairs.append((rep_dim, att_dim, flat))
-            pair_leaf_of_position.append(
-                np.concatenate([state.pair_leaf_of_position[p], leaves])
-            )
-        # Splice the new values into the session-owned sorted columns.  The
-        # batch must be presorted per column: np.insert keeps same-gap values
-        # in the given order, so unsorted input would break the sorted-column
-        # invariant every searchsorted probe relies on.
-        col_values: Dict[int, np.ndarray] = {}
-        col_positions: Dict[int, np.ndarray] = {}
-        for dim in state.col_values:
-            values = np.ascontiguousarray(matrix[:, dim])
-            value_order = np.argsort(values, kind="stable")
-            sorted_values = values[value_order]
-            at = np.searchsorted(state.col_values[dim], sorted_values)
-            col_values[dim] = np.insert(state.col_values[dim], at, sorted_values)
-            col_positions[dim] = np.insert(
-                state.col_positions[dim], at, new_positions[value_order]
-            )
-        successor = SessionState(
-            rows=rows,
-            matrix=full_matrix,
-            live=live,
-            num_live=state.num_live + count,
-            row_order=row_order,
-            sorted_rows=sorted_rows,
-            columns_by_dim=columns_by_dim,
-            pairs=pairs,
-            pair_leaf_of_position=pair_leaf_of_position,
-            col_values=col_values,
-            col_positions=col_positions,
-            appended=state.appended + count,
-            tombstoned=state.tombstoned,
-        )
-        self._install(successor)
-        self.patched_inserts += count
-        self._check_garbage(successor)
-
-    def apply_delete(self, row_id: int) -> None:
-        """Tombstone one deleted row (called by the aggregator)."""
-        self.apply_bulk_delete(np.asarray([row_id], dtype=np.int64))
-
-    def apply_bulk_delete(self, row_ids) -> None:
-        """Tombstone a batch of deleted rows through the validity mask.
-
-        Snapshot mode copies the mask before writing it (the only in-place
-        mutation a delete patch performs), so pinned epochs keep serving the
-        rows they saw alive.
-        """
-        self._generation = self._aggregator.mutations
-        if self._dirty:
-            return
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        if len(row_ids) == 0:
-            return
-        state = self._state
-        positions = state.positions_of(row_ids)
-        # Copy under snapshot isolation, and always when the mask is read-only
-        # (an mmap-restored state): the tombstone write must never land in a
-        # mapped snapshot file.
-        live = (
-            state.live.copy()
-            if self.concurrency == "snapshot" or not state.live.flags.writeable
-            else state.live
-        )
-        live[positions] = False
-        successor = SessionState(
-            rows=state.rows,
-            matrix=state.matrix,
-            live=live,
-            num_live=state.num_live - len(row_ids),
-            row_order=state.row_order,
-            sorted_rows=state.sorted_rows,
-            columns_by_dim=state.columns_by_dim,
-            pairs=state.pairs,
-            pair_leaf_of_position=state.pair_leaf_of_position,
-            col_values=state.col_values,
-            col_positions=state.col_positions,
-            appended=state.appended,
-            tombstoned=state.tombstoned + len(row_ids),
-        )
-        self._install(successor)
-        self.patched_deletes += len(row_ids)
-        self._check_garbage(successor)
 
     def maintenance_stats(self) -> Dict[str, int]:
         """Counters describing how the session has been kept alive."""
@@ -1429,40 +1240,6 @@ class QuerySession:
         return SessionSnapshot(self, self.epochs.pin())
 
     # ------------------------------------------------------------------ helpers
-    # Read-only views of the current state, kept for tests and callers that
-    # predate the epoch refactor.
-    @property
-    def _rows(self) -> np.ndarray:
-        return self._state.rows
-
-    @property
-    def _matrix(self) -> np.ndarray:
-        return self._state.matrix
-
-    @property
-    def _live(self) -> np.ndarray:
-        return self._state.live
-
-    @property
-    def _num_live(self) -> int:
-        return self._state.num_live
-
-    @property
-    def _col_values(self) -> Dict[int, np.ndarray]:
-        return self._state.col_values
-
-    @property
-    def _col_positions(self) -> Dict[int, np.ndarray]:
-        return self._state.col_positions
-
-    @property
-    def _columns_by_dim(self) -> Dict[int, np.ndarray]:
-        return self._state.columns_by_dim
-
-    @property
-    def _pairs(self) -> List[Tuple[int, int, _FlatTree]]:
-        return self._state.pairs
-
     def _weight_column(self, spec: BatchQuerySpec, dim: int) -> np.ndarray:
         """The per-query weight column of a scored dimension."""
         aggregator = self._aggregator

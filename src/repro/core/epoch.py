@@ -1,12 +1,9 @@
 """Epoch-based snapshot isolation for serve-while-mutate (DESIGN.md section 6).
 
-PR 3 fans shard probes out on a thread pool, but every layer underneath still
-assumes single-threaded mutation: ``insert`` / ``bulk_delete`` patch a
-:class:`~repro.core.batch.QuerySession`'s flat arrays and validity mask in
-place, and ``ShardedIndex.rebalance`` rebuilds the shard list under an
-in-flight probe.  A reader that overlaps any of those writes sees torn state —
-a half-extended row array, a mask ahead of its bounds, a router mid-refit —
-and silently returns wrong answers.
+Shard probes fan out on a thread pool while writers insert, delete and
+rebalance.  Patching shared arrays in place under an in-flight read would
+tear it — a half-extended row array, a mask ahead of its bounds, a router
+mid-refit — and silently return wrong answers.
 
 The standard fix for a read-mostly serving tier is not a global lock but
 *versioned snapshots* (cf. ProvSQL's in-engine bookkeeping layered under
@@ -16,8 +13,8 @@ while appends land elsewhere — both in PAPERS.md):
 * Readers **pin** the current :class:`Epoch` and execute entirely against its
   immutable ``state``; nothing a writer does afterwards can reach them.
 * Writers prepare the next state off to the side (copy-on-write of exactly the
-  arrays they would have mutated in place) and **publish** it — one reference
-  swap under the manager lock, atomic with respect to every pin.
+  arrays they change) and **publish** it — one reference swap under the
+  manager lock, atomic with respect to every pin.
 * A superseded epoch is **retired** at publish time and **reclaimed** (its
   state reference dropped, an optional callback fired) as soon as its reader
   refcount drains to zero.  An epoch is therefore alive iff it is current or
@@ -36,7 +33,7 @@ from typing import Any, Callable, List, Optional
 
 from repro import faults
 
-__all__ = ["Epoch", "EpochManager", "validate_concurrency"]
+__all__ = ["Epoch", "EpochManager"]
 
 #: Fault points of the epoch lifecycle (DESIGN.md §9).  Both fire *before*
 #: any bookkeeping mutates, so an injected raise leaves the manager exactly
@@ -47,15 +44,6 @@ _FP_PIN = faults.declare_fault_point(
 _FP_PUBLISH = faults.declare_fault_point(
     "epoch.publish", "writer about to publish a successor epoch"
 )
-
-
-def validate_concurrency(mode: str) -> str:
-    """Validate a ``concurrency`` knob value (shared by every engine facade)."""
-    if mode not in ("snapshot", "unsafe"):
-        raise ValueError(
-            f"unknown concurrency mode {mode!r}; use 'snapshot' or 'unsafe'"
-        )
-    return mode
 
 
 class Epoch:
@@ -201,28 +189,13 @@ class EpochManager:
             self._on_reclaim(epoch)
 
     # ------------------------------------------------------------------ peeking
-    @property
-    def current(self) -> Epoch:
-        """The current epoch without pinning it (raises before first publish).
-
-        Only safe for single-threaded owners (the ``concurrency="unsafe"``
-        paths) or for monitoring; concurrent readers must :meth:`pin` — or
-        use :meth:`current_state`, which reads the epoch and its state in one
-        atomic step.
-        """
-        current = self._current
-        if current is None:
-            raise RuntimeError("no epoch has been published yet")
-        return current
-
     def current_state(self) -> Any:
         """The current epoch's state, read atomically under the manager lock.
 
         Safe without pinning: a concurrent publish can reclaim the *epoch*
         (dropping its state pointer), but the caller already holds a direct
         reference to the state object, which stays intact — reclamation never
-        mutates published states.  Use this instead of ``current.state``
-        whenever another thread may publish in between the two reads.
+        mutates published states.
         """
         with self._lock:
             if self._current is None:

@@ -1,10 +1,9 @@
 """LSM-structured session maintenance (DESIGN.md section 11).
 
-The in-place :class:`~repro.core.batch.QuerySession` patches one flattened
-world per update and pays a stop-the-world reflatten once garbage crosses a
-threshold — O(n) splices on the write path and an O(n log n) pause that will
-not survive sustained write traffic.  This module restructures maintenance as
-a small log-structured merge hierarchy:
+Patching one flattened world per update costs O(n) splices on the write path
+and, once garbage crosses a threshold, an O(n log n) stop-the-world reflatten
+that will not survive sustained write traffic.  Every query session therefore
+maintains its state as a small log-structured merge hierarchy:
 
 * **Delta.**  A bounded mutable :class:`DeltaState` absorbs every insert as a
   plain array append (no tree, no sorted-column splices) and every delete of a
@@ -18,10 +17,9 @@ a small log-structured merge hierarchy:
   level; :meth:`LsmSession.compact` merges levels.  Both build aside and
   publish through the session's :class:`~repro.core.epoch.EpochManager`, so a
   pinned reader never observes a half-compacted world — the same protocol as
-  ``rebalance()``.  The default policy is size-tiered (merge a tier once it
-  holds ``fanout`` levels); the legacy 25 %-garbage reflatten survives as the
-  garbage-collection trigger, and ``compaction="legacy"`` on the aggregator
-  bypasses this module entirely.
+  ``rebalance()``.  The policy is size-tiered (merge a tier once it holds
+  ``fanout`` levels); a 25 %-tombstone threshold is the garbage-collection
+  trigger.
 
 **Exactness.**  Scores depend only on coordinates, so a row scores
 bit-identically no matter which level holds it.  Queries seed one global
@@ -53,17 +51,7 @@ from repro.core.deadline import Deadline
 from repro.core.results import BatchResult, Match, TopKResult
 from repro.core.topk import TopKIndex
 
-__all__ = [
-    "COMPACTION_MODES",
-    "DeltaState",
-    "Level",
-    "LsmWorld",
-    "LsmSession",
-    "validate_compaction",
-]
-
-#: Accepted values of the aggregator's ``compaction`` knob.
-COMPACTION_MODES = ("legacy", "size_tiered")
+__all__ = ["DeltaState", "Level", "LsmWorld", "LsmSession"]
 
 #: Delta occupancy (live rows) that schedules a flush.
 _FLUSH_ROWS = 256
@@ -83,15 +71,6 @@ _FP_MERGE = faults.declare_fault_point(
     "compact.merge",
     "LSM level merge: building a merged level aside before the epoch flip",
 )
-
-
-def validate_compaction(compaction: str) -> str:
-    """Validate and return the compaction mode."""
-    if compaction not in COMPACTION_MODES:
-        raise ValueError(
-            f"unknown compaction mode {compaction!r}; use one of {COMPACTION_MODES}"
-        )
-    return compaction
 
 
 def _locate_live(sorted_rows, row_order, live, ids):
@@ -251,8 +230,7 @@ class LsmWorld:
     level) plus level-resident tombstones.  A delta-absorbed delete removes
     its row from the pending count and adds **nothing** to the tombstone
     count — the row never reached a level, so there is no level garbage to
-    collect for it (the in-place session double-counts this case: one
-    ``appended`` plus one ``tombstoned`` for a net-zero row).
+    collect for it.
     """
 
     __slots__ = ("levels", "delta")
@@ -315,17 +293,16 @@ class LsmWorld:
 class LsmSession(QuerySession):
     """A :class:`QuerySession` whose epochs hold layered :class:`LsmWorld`\\ s.
 
-    The read surface (``run``/``snapshot``/``upper_bounds``/``sample_scores``)
-    and the aggregator patch surface (``apply_*``) are unchanged; only the
-    shape of the published state differs.  Writers append to the delta or
-    copy one validity mask — never a sorted-column splice, never a reflatten.
-    Maintenance happens through :meth:`flush`/:meth:`compact`, driven either
-    by the owning aggregator's post-write trigger (inline or on a short-lived
-    background thread) or explicitly by a durability wrapper that journals
-    each structure op (``auto_compaction=False``).
-
-    Requires ``concurrency="snapshot"``: the LSM write path is defined by
-    copy-on-write epoch publication.
+    The session every aggregator creates.  The read surface
+    (``run``/``snapshot``/``upper_bounds``/``sample_scores``) is the base
+    class's, applied per source; this class adds the aggregator patch surface
+    (``apply_*``).  Writers append to the delta or copy one validity mask —
+    never a sorted-column splice, never a reflatten — and publish the
+    successor world copy-on-write.  Maintenance happens through
+    :meth:`flush`/:meth:`compact`, driven either by the owning aggregator's
+    post-write trigger (inline or on a short-lived background thread) or
+    explicitly by a durability wrapper that journals each structure op
+    (``auto_compaction=False``).
     """
 
     def __init__(
@@ -337,8 +314,6 @@ class LsmSession(QuerySession):
         fanout: int = _FANOUT,
         background: bool = True,
     ) -> None:
-        if getattr(aggregator, "concurrency", "snapshot") != "snapshot":
-            raise ValueError("LSM sessions require concurrency='snapshot'")
         if flush_rows < 1:
             raise ValueError("flush_rows must be >= 1")
         if fanout < 2:
@@ -436,6 +411,16 @@ class LsmSession(QuerySession):
         return state
 
     # ------------------------------------------------------------ write path
+    def apply_insert(self, row_id: int, vector: np.ndarray) -> None:
+        """Absorb one inserted point (called by the aggregator)."""
+        self.apply_bulk_insert(
+            np.asarray([row_id], dtype=np.int64), np.asarray(vector, dtype=float)[None, :]
+        )
+
+    def apply_delete(self, row_id: int) -> None:
+        """Delete one row (called by the aggregator)."""
+        self.apply_bulk_delete(np.asarray([row_id], dtype=np.int64))
+
     def apply_bulk_insert(self, row_ids, matrix) -> None:
         """Absorb inserted rows into the delta (O(delta), no tree surgery)."""
         self._generation = self._aggregator.mutations
@@ -507,8 +492,8 @@ class LsmSession(QuerySession):
         merge = self._pick_tier_merge(world)
         if merge is not None:
             return ("compact", merge)
-        # Garbage collection: the legacy reflatten threshold, now one
-        # compaction trigger among several.  Only level tombstones count —
+        # Garbage collection: the reflatten threshold, as one compaction
+        # trigger among several.  Only level tombstones count —
         # the delta backlog is the flush trigger's business, and a
         # delta-absorbed delete contributes to neither (its row never
         # became level garbage).

@@ -60,11 +60,11 @@ import numpy as np
 from repro import faults
 from repro.core.aggregate import SubproblemAggregator
 from repro.core.angles import AngleGrid
-from repro.core.batch import QuerySession, SessionState, _FlatTree
+from repro.core.batch import SessionState, _FlatTree
 from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
 from repro.core.isoline import Envelope, EnvelopeSide
-from repro.core.lsm import DeltaState, Level, LsmSession, LsmWorld
+from repro.core.lsm import DeltaState, Level, LsmSession, LsmWorld, _FANOUT, _FLUSH_ROWS
 from repro.core.pairing import DimensionPairing
 from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex, ShardRouter, _ShardTopology
@@ -82,7 +82,6 @@ __all__ = [
     "load_engine",
     "read_wal_tail",
     "recover",
-    "install_fault_hook",
 ]
 
 #: Snapshot format version written by this build; readers accept exactly the
@@ -105,18 +104,11 @@ class SnapshotFormatError(RuntimeError):
     Raised instead of ever serving state that cannot be proven intact."""
 
 
-# ----------------------------------------------------------------- fault hook
-#: Test-only crash injection: when set, called with a named fault point at
-#: every durability-critical boundary (see ``_fault`` call sites).  The hook
-#: may raise or ``os._exit`` to simulate a crash between two specific writes.
-#: The same points are also registered with the general :mod:`repro.faults`
-#: plane, which fires *after* the legacy hook — ``install_fault_hook`` keeps
-#: its crash-test contract, while seed-driven chaos runs target these points
-#: through :func:`repro.faults.install_fault_plane` like any other.
-_FAULT_HOOK: Optional[Callable[[str], None]] = None
-
-#: Durability-boundary fault points (non-transient by default: a raise here
-#: simulates a torn write, and recovery — not a retry — is the mitigation).
+# ---------------------------------------------------------------- fault points
+#: Durability-boundary fault points of the :mod:`repro.faults` plane, fired
+#: between two specific writes.  A raise here simulates a torn write, and
+#: recovery — not a retry — is the mitigation; crash tests install a plane
+#: that kills the process at the nth hit of one point.
 for _point, _about in (
     ("snapshot.array.written", "one array file written, before its fsync"),
     ("snapshot.manifest.before", "arrays durable, manifest not yet written"),
@@ -130,18 +122,6 @@ for _point, _about in (
     ("checkpoint.current.written", "CURRENT written, before its fsync"),
 ):
     faults.declare_fault_point(_point, _about)
-
-
-def install_fault_hook(hook: Optional[Callable[[str], None]]) -> None:
-    """Install (or clear, with None) the crash-injection hook."""
-    global _FAULT_HOOK
-    _FAULT_HOOK = hook
-
-
-def _fault(point: str) -> None:
-    if _FAULT_HOOK is not None:
-        _FAULT_HOOK(point)
-    faults.fire(point)
 
 
 # -------------------------------------------------------------- small helpers
@@ -268,10 +248,8 @@ class _Capture:
 
     ``meta`` is the JSON payload, ``arrays`` maps array names to (immutable)
     numpy arrays, ``children`` holds nested captures (one per shard).
-    ``pins`` are release callables (epoch unpins); ``locks`` are acquired
-    locks held for the whole write (only the ``concurrency="unsafe"`` engines
-    need that — their states mutate in place, so writers block until the
-    stream finishes; snapshot-mode engines keep writing concurrently).
+    ``pins`` are release callables (epoch unpins): the pinned states are
+    immutable, so writers keep running while the capture streams.
     """
 
     def __init__(self, kind: str) -> None:
@@ -280,7 +258,6 @@ class _Capture:
         self.arrays: Dict[str, np.ndarray] = {}
         self.children: Dict[str, "_Capture"] = {}
         self.pins: List[Callable[[], None]] = []
-        self.locks: List[Any] = []
 
     def close(self) -> None:
         for child in self.children.values():
@@ -288,9 +265,6 @@ class _Capture:
         for release in self.pins:
             release()
         self.pins = []
-        for lock in reversed(self.locks):
-            lock.release()
-        self.locks = []
 
 
 def _write_capture(capture: _Capture, path: Path, extra: Optional[Dict] = None) -> None:
@@ -310,7 +284,7 @@ def _write_capture(capture: _Capture, path: Path, extra: Optional[Dict] = None) 
             writer = _CrcWriter(handle)
             np.save(writer, np.asarray(array))
             _fsync_file(handle)
-        _fault("snapshot.array.written")
+        faults.fire("snapshot.array.written")
         files[name] = {"file": rel, "bytes": writer.size, "crc32": writer.crc}
     # The array *files* are durable; their directory entries need their own
     # fsync, or a power failure after the checkpoint commits (and prunes the
@@ -329,7 +303,7 @@ def _write_capture(capture: _Capture, path: Path, extra: Optional[Dict] = None) 
         "children": children,
         "extra": dict(extra or {}),
     }
-    _fault("snapshot.manifest.before")
+    faults.fire("snapshot.manifest.before")
     tmp = path / (MANIFEST_NAME + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=1, sort_keys=True)
@@ -338,7 +312,7 @@ def _write_capture(capture: _Capture, path: Path, extra: Optional[Dict] = None) 
     os.replace(tmp, path / MANIFEST_NAME)
     _fsync_dir(path)
     _fsync_dir(path.parent)
-    _fault("snapshot.manifest.written")
+    faults.fire("snapshot.manifest.written")
 
 
 def _read_manifest(path: Path) -> Dict[str, Any]:
@@ -610,6 +584,11 @@ class WriteAheadLog:
         """LSN of the last intact record (== total mutations journaled)."""
         return self._lsn
 
+    @property
+    def closed(self) -> bool:
+        """True once closed, by :meth:`close` or by a failed rotation."""
+        return self._closed
+
     def _header_size(self) -> int:
         return len(_WAL_MAGIC) + _WAL_BASE.size
 
@@ -694,7 +673,7 @@ class WriteAheadLog:
             try:
                 self._file.write(_record_header(lsn, len(payload), zlib.crc32(payload)))
                 self._file.write(payload)
-                _fault("wal.append.written")
+                faults.fire("wal.append.written")
                 self._file.flush()
                 if self.fsync == "commit":
                     os.fsync(self._file.fileno())
@@ -709,7 +688,7 @@ class WriteAheadLog:
                 except OSError:
                     pass  # disk truly gone; the open-time scan will judge it
                 raise
-            _fault("wal.append.synced")
+            faults.fire("wal.append.synced")
             self._lsn = lsn
             return lsn
 
@@ -729,6 +708,12 @@ class WriteAheadLog:
         under sustained write load.  Written aside and swapped in with
         ``os.replace``, so a crash mid-rotation leaves either the old intact
         log or the new complete one — never a half-truncated header.
+
+        A failure before the rename leaves the old log live and appendable.
+        After it, the handle moves to the new file at once; should anything
+        later fail (the directory fsync that makes the rename durable, say),
+        the log closes itself, since an append acknowledged now could vanish
+        with an undone rename.  Only ``recover()`` can tell which log survived.
         """
         with self._lock:
             if not self.base_lsn <= base_lsn <= self._lsn:
@@ -752,18 +737,25 @@ class WriteAheadLog:
                             out.write(header)
                             out.write(payload)
                 _fsync_file(out)
-            _fault("wal.rotate.written")
+            faults.fire("wal.rotate.written")
             os.replace(tmp, self.path)
-            _fault("wal.rotate.replaced")
-            # Persist the rename on every fsync policy: without the directory
-            # fsync a crash right after rotation can resurrect the old log
-            # tail (records the checkpoint already superseded).
-            _fsync_dir(self.path.parent)
-            _fault("wal.rotate.synced")
-            self._file.close()
-            self._file = open(self.path, "r+b")
-            self._file.seek(0, os.SEEK_END)
-            self.base_lsn = base_lsn
+            try:
+                # The old handle now writes into an unlinked file that no
+                # recovery reads: switch before anything else can fail.
+                self._file.close()
+                self._file = open(self.path, "r+b")
+                self._file.seek(0, os.SEEK_END)
+                self.base_lsn = base_lsn
+                faults.fire("wal.rotate.replaced")
+                # Persist the rename on every fsync policy: without the
+                # directory fsync a crash right after rotation can resurrect
+                # the old log tail (records the checkpoint already superseded).
+                _fsync_dir(self.path.parent)
+                faults.fire("wal.rotate.synced")
+            except BaseException:
+                self._closed = True
+                self._file.close()
+                raise
 
     def close(self) -> None:
         with self._lock:
@@ -855,21 +847,17 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
 
     The writer lock is held only long enough to pin the session epoch and copy
     the small bookkeeping (deleted ids, high-water mark, counters); the big
-    arrays belong to the pinned immutable :class:`SessionState` and stream out
-    after the lock drops.  Under ``concurrency="unsafe"`` the state mutates in
-    place, so the lock stays held until the capture closes.
+    arrays belong to the pinned immutable :class:`LsmWorld` and stream out
+    after the lock drops.
     """
     capture = _Capture("aggregator")
     agg.write_lock.acquire()
-    hold = agg.concurrency == "unsafe"
     try:
         session = agg.serving_session()
         view = session.snapshot()  # reflattens first if stale; pins the epoch
         capture.pins.append(view.close)
         state = view.state
         capture.meta = {
-            "concurrency": agg.concurrency,
-            "compaction": agg.compaction,
             "lsm_options": dict(agg._lsm_options),
             "repulsive": list(agg.repulsive),
             "attractive": list(agg.attractive),
@@ -892,62 +880,43 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
                 "num_live": int(state.num_live),
                 "appended": int(state.appended),
                 "tombstoned": int(state.tombstoned),
+                "kind": "lsm",
+                "flush_rows": int(session.flush_rows),
+                "fanout": int(session.fanout),
+                "background": bool(session.background),
+                "flushes": int(session.flushes),
+                "compactions": int(session.compactions),
+                "delta_absorbed_deletes": int(session.delta_absorbed_deletes),
+                "next_seq": int(session._next_seq),
             },
         }
-        if isinstance(state, LsmWorld):
-            # A layered world: per-level execution states plus the delta.
-            # Everything below the meta is immutable once pinned, so the
-            # array assembly streams after the lock drops.
-            capture.meta["session"].update(
-                {
-                    "kind": "lsm",
-                    "flush_rows": int(session.flush_rows),
-                    "fanout": int(session.fanout),
-                    "background": bool(session.background),
-                    "flushes": int(session.flushes),
-                    "compactions": int(session.compactions),
-                    "delta_absorbed_deletes": int(session.delta_absorbed_deletes),
-                    "next_seq": int(session._next_seq),
-                }
-            )
-            capture.meta["levels"] = [
-                {
-                    "seq": int(level.seq),
-                    "num_live": int(level.state.num_live),
-                    "appended": int(level.state.appended),
-                    "tombstoned": int(level.state.tombstoned),
-                    "pair_flats": [
-                        {
-                            "rep_dim": int(rep),
-                            "att_dim": int(att),
-                            "num_leaves": int(flat.num_leaves),
-                            "appended": int(flat.appended),
-                            "dead": int(flat.dead),
-                        }
-                        for rep, att, flat in level.state.pairs
-                    ],
-                }
-                for level in state.levels
-            ]
-            column_dims = (
-                [int(dim) for dim in state.levels[0].state.col_values]
-                if state.levels
-                else [int(dim) for dim in agg._column_dims]
-            )
-            capture.meta["column_dims"] = column_dims
-        else:
-            capture.meta["session"]["kind"] = "flat"
-            capture.meta["pair_flats"] = [
-                {
-                    "rep_dim": int(rep),
-                    "att_dim": int(att),
-                    "num_leaves": int(flat.num_leaves),
-                    "appended": int(flat.appended),
-                    "dead": int(flat.dead),
-                }
-                for rep, att, flat in state.pairs
-            ]
-            capture.meta["column_dims"] = [int(dim) for dim in state.col_values]
+        # A layered world: per-level execution states plus the delta.
+        # Everything below the meta is immutable once pinned, so the
+        # array assembly streams after the lock drops.
+        capture.meta["levels"] = [
+            {
+                "seq": int(level.seq),
+                "num_live": int(level.state.num_live),
+                "appended": int(level.state.appended),
+                "tombstoned": int(level.state.tombstoned),
+                "pair_flats": [
+                    {
+                        "rep_dim": int(rep),
+                        "att_dim": int(att),
+                        "num_leaves": int(flat.num_leaves),
+                        "appended": int(flat.appended),
+                        "dead": int(flat.dead),
+                    }
+                    for rep, att, flat in level.state.pairs
+                ],
+            }
+            for level in state.levels
+        ]
+        capture.meta["column_dims"] = (
+            [int(dim) for dim in state.levels[0].state.col_values]
+            if state.levels
+            else [int(dim) for dim in agg._column_dims]
+        )
         deleted = np.fromiter(
             sorted(agg._deleted), dtype=np.int64, count=len(agg._deleted)
         )
@@ -955,25 +924,9 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
         capture.close()
         agg.write_lock.release()
         raise
-    if hold:
-        capture.locks.append(agg.write_lock)
-    else:
-        agg.write_lock.release()
-    arrays = capture.arrays
-    arrays["deleted"] = deleted
-    if isinstance(state, LsmWorld):
-        _capture_lsm_arrays(agg, state, arrays)
-        return capture
-    arrays["rows"] = state.rows
-    arrays["matrix"] = state.matrix
-    arrays["live"] = state.live
-    arrays["row_order"] = state.row_order
-    arrays["sorted_rows"] = state.sorted_rows
-    for p, (_rep, _att, flat) in enumerate(state.pairs):
-        _capture_pair_arrays(arrays, f"pair{p}", flat, state.pair_leaf_of_position[p])
-    for dim in state.col_values:
-        arrays[f"col{dim}_values"] = state.col_values[dim]
-        arrays[f"col{dim}_positions"] = state.col_positions[dim]
+    agg.write_lock.release()
+    capture.arrays["deleted"] = deleted
+    _capture_lsm_arrays(agg, state, capture.arrays)
     return capture
 
 
@@ -1007,7 +960,7 @@ def _capture_lsm_arrays(
     The top-level ``rows``/``matrix`` are the world's *live* rows concatenated
     in level order — the aggregator's row bookkeeping, sorted-column seeds and
     deferred tree builders all restore from that flat view, exactly as they do
-    from a legacy single-state snapshot whose rows happen to be all live.
+    from a pre-LSM single-state snapshot whose rows happen to be all live.
     """
     live_rows = world.live_row_ids()
     live_matrix = world.live_matrix() if world.num_live else np.empty(
@@ -1086,18 +1039,15 @@ def _restore_aggregator(
 ) -> SubproblemAggregator:
     """Rebuild an aggregator plus its serving session from checkpoint arrays.
 
-    The serving :class:`SessionState` is restored verbatim (every kernel input
+    The serving session's world is restored verbatim (every kernel input
     byte-for-byte as checkpointed) and published as the session's first epoch;
     the projection trees and sorted-column refreshes are deferred behind
     :class:`Deferred` builders over the checkpointed live rows, so a loaded
     engine serves immediately and only pays the tree build when maintenance
-    first needs it.
+    first needs it.  Payload keys of retired engine modes (``concurrency``,
+    ``compaction``) are ignored.
     """
     agg = SubproblemAggregator.__new__(SubproblemAggregator)
-    agg.concurrency = payload["concurrency"]
-    # Pre-LSM snapshots (format v1 golden fixtures) carry no compaction key:
-    # they restore as legacy in-place sessions, bit-identical to before.
-    agg.compaction = payload.get("compaction", "legacy")
     agg._lsm_options = dict(payload.get("lsm_options", {"background": True}))
     agg._write_lock = threading.RLock()
     agg._num_dims = int(payload["num_dims"])
@@ -1137,8 +1087,8 @@ def _restore_aggregator(
     )
     agg._columns = {}
     for dim in agg._column_dims:
-        # The session's maintained sorted splice is already in sorted order;
-        # bypass the constructor's argsort.  Tombstoned rows may linger — the
+        # The checkpointed column is already in sorted order; bypass the
+        # constructor's argsort.  Tombstoned rows may linger — the
         # legacy streams skip rows in ``_deleted``.
         column = SortedColumn.__new__(SortedColumn)
         column._values = np.asarray(arrays[f"col{dim}_values"])
@@ -1171,35 +1121,7 @@ def _restore_aggregator(
     agg._serving_session = None
     agg._closed = False
 
-    # Serving session: the checkpointed execution state, republished verbatim.
-    meta = payload["session"]
-    scored = set(agg.repulsive) | set(agg.attractive)
-    if meta.get("kind", "flat") == "lsm":
-        session = _restore_lsm_session(agg, payload, arrays, scored)
-        agg._serving_session = session
-        agg._register_session(session)
-        return agg
-    session = QuerySession.__new__(QuerySession)
-    session._aggregator = agg
-    session._seed_pool = int(meta["seed_pool"])
-    session.reflatten_threshold = float(meta["reflatten_threshold"])
-    session.concurrency = agg.concurrency
-    session.epochs = EpochManager()
-    session.reflattens = int(meta["reflattens"])
-    session.patched_inserts = int(meta["patched_inserts"])
-    session.patched_deletes = int(meta["patched_deletes"])
-    session._dirty = False
-    session._generation = agg._mutations
-
-    state = _restore_session_state(
-        agg,
-        payload["pair_flats"],
-        arrays,
-        "",
-        {**meta, "column_dims": payload["column_dims"]},
-        scored,
-    )
-    session.epochs.publish(state)
+    session = _restore_lsm_session(agg, payload, arrays)
     agg._serving_session = session
     agg._register_session(session)
     return agg
@@ -1248,39 +1170,60 @@ def _restore_lsm_session(
     agg: SubproblemAggregator,
     payload: Dict[str, Any],
     arrays: Dict[str, np.ndarray],
-    scored: set,
 ) -> LsmSession:
-    """Rebuild an :class:`LsmSession` publishing the checkpointed world.
+    """Rebuild the :class:`LsmSession` publishing the checkpointed world.
 
     Every level's arrays restore verbatim (mmap-able, immutable); the delta's
     row-id lookup structures are recomputed from its arrays (cheap — the delta
-    is bounded by the flush threshold).
+    is bounded by the flush threshold).  A pre-LSM ("flat") snapshot holds one
+    execution state: it restores as level 1 of a world with an empty delta,
+    under the aggregator's (by default the stock) flush and fanout options.
     """
     meta = payload["session"]
+    scored = set(agg.repulsive) | set(agg.attractive)
     session = LsmSession.__new__(LsmSession)
     session._aggregator = agg
     session._seed_pool = int(meta["seed_pool"])
     session.reflatten_threshold = float(meta["reflatten_threshold"])
-    session.concurrency = agg.concurrency
     session.epochs = EpochManager()
     session.reflattens = int(meta["reflattens"])
     session.patched_inserts = int(meta["patched_inserts"])
     session.patched_deletes = int(meta["patched_deletes"])
-    session._dirty = False
     session._generation = agg._mutations
+    session.auto_compaction = True
+    session._maintain_lock = threading.Lock()
+    session._compactor = None
+    session._maintenance_error = None
+    column_dims = payload["column_dims"]
+
+    if meta.get("kind") != "lsm":
+        options = agg._lsm_options
+        session.flush_rows = int(options.get("flush_rows", _FLUSH_ROWS))
+        session.fanout = int(options.get("fanout", _FANOUT))
+        session.background = bool(options.get("background", True))
+        session.flushes = 0
+        session.compactions = 0
+        session.delta_absorbed_deletes = 0
+        session._next_seq = 2
+        state = _restore_session_state(
+            agg,
+            payload["pair_flats"],
+            arrays,
+            "",
+            {**meta, "column_dims": column_dims},
+            scored,
+        )
+        world = LsmWorld((Level(1, state),), DeltaState.empty(agg._num_dims, scored))
+        session.epochs.publish(world)
+        return session
+
     session.flush_rows = int(meta["flush_rows"])
     session.fanout = int(meta["fanout"])
     session.background = bool(meta["background"])
-    session.auto_compaction = True
     session.flushes = int(meta["flushes"])
     session.compactions = int(meta["compactions"])
     session.delta_absorbed_deletes = int(meta["delta_absorbed_deletes"])
     session._next_seq = int(meta["next_seq"])
-    session._maintain_lock = threading.Lock()
-    session._compactor = None
-    session._maintenance_error = None
-
-    column_dims = payload["column_dims"]
     levels = []
     for i, level_meta in enumerate(payload["levels"]):
         state = _restore_session_state(
@@ -1362,8 +1305,7 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
     Holding the engine writer lock excludes every mutation path (updates and
     rebalances all serialize on it), so the topology, the router map, the
     engine bookkeeping and each shard's pinned session epoch are captured at
-    one point in time; the per-shard array streams run after the lock drops
-    (or under it, for ``concurrency="unsafe"``).
+    one point in time; the per-shard array streams run after the lock drops.
     """
     if engine.closed:
         raise RuntimeError("ShardedIndex is closed")
@@ -1380,7 +1322,6 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
             [assignments[int(row)] for row in assigned_rows], dtype=np.int64
         )
         capture.meta = {
-            "concurrency": engine.concurrency,
             "repulsive": list(engine.repulsive),
             "attractive": list(engine.attractive),
             "num_dims": int(engine.num_dims),
@@ -1409,10 +1350,7 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
         capture.close()
         engine._write_lock.release()
         raise
-    if engine.concurrency == "unsafe":
-        capture.locks.append(engine._write_lock)
-    else:
-        engine._write_lock.release()
+    engine._write_lock.release()
     return capture
 
 
@@ -1423,7 +1361,6 @@ def _restore_sharded(
     engine.repulsive = tuple(int(d) for d in payload["repulsive"])
     engine.attractive = tuple(int(d) for d in payload["attractive"])
     engine.num_dims = int(payload["num_dims"])
-    engine.concurrency = payload["concurrency"]
     engine.rebalance_threshold = float(payload["rebalance_threshold"])
     engine.parallel = bool(payload["parallel"])
     engine._max_workers = payload["max_workers"]
@@ -1501,7 +1438,6 @@ def _capture_topk(index: TopKIndex) -> _Capture:
                 sorted(tree._tombstones), dtype=np.int64, count=len(tree._tombstones)
             )
         capture.meta = {
-            "concurrency": index.concurrency,
             "angles": _grid_payload(index.angle_grid),
             "branching": int(branching),
             "leaf_capacity": int(leaf_capacity),
@@ -1537,10 +1473,7 @@ def _capture_topk(index: TopKIndex) -> _Capture:
         capture.close()
         index._write_lock.release()
         raise
-    if index.concurrency == "unsafe":
-        capture.locks.append(index._write_lock)
-    else:
-        index._write_lock.release()
+    index._write_lock.release()
     return capture
 
 
@@ -1588,7 +1521,6 @@ def _restore_topk(
     index._flat = flat
     index._flat_dirty = False
     index._flat_threshold = float(payload["flat_threshold"])
-    index.concurrency = payload["concurrency"]
     index._write_lock = threading.RLock()
     index.flat_epochs = EpochManager()
     index.flat_epochs.publish(flat)
@@ -1740,8 +1672,8 @@ def capture_engine(engine) -> _Capture:
 def save_engine(engine, path, extra: Optional[Dict] = None) -> Path:
     """Write a standalone snapshot of ``engine`` at ``path`` (a directory).
 
-    Writers keep running while the snapshot streams (snapshot-concurrency
-    engines; ``"unsafe"`` engines hold their writer lock for the duration).
+    Writers keep running while the snapshot streams: the capture pins
+    immutable epochs and holds no lock past its bookkeeping copy.
     """
     capture = capture_engine(engine)
     try:
@@ -1797,16 +1729,12 @@ def _take_over_maintenance(engine) -> None:
     """Claim LSM maintenance scheduling from an engine that self-schedules.
 
     Joins any in-flight background compaction first, so no unjournaled
-    structure flip races the takeover; no-op for engines without LSM
-    maintenance (legacy aggregators, 2D indexes, sharded engines).
+    structure flip races the takeover; no-op for engines that keep their own
+    scheduling (2D indexes, sharded engines).
     """
-    disable = getattr(engine, "set_auto_compaction", None)
-    if disable is None:
-        return
-    disable(False)
-    quiesce = getattr(engine, "quiesce_maintenance", None)
-    if quiesce is not None:
-        quiesce()
+    if isinstance(engine, SDIndex):
+        engine.set_auto_compaction(False)
+        engine.quiesce_maintenance()
 
 
 def _engine_kind(engine) -> str:
@@ -2203,14 +2131,14 @@ class DurableIndex:
                 )
             finally:
                 capture.close()
-            _fault("checkpoint.current.before")
+            faults.fire("checkpoint.current.before")
             tmp = self.path / (CURRENT_NAME + ".tmp")
             with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(name + "\n")
                 _fsync_file(handle)
             os.replace(tmp, self.path / CURRENT_NAME)
             _fsync_dir(self.path)
-            _fault("checkpoint.current.written")
+            faults.fire("checkpoint.current.written")
             for stale in self.path.glob("snapshot-*"):
                 if stale.is_dir() and stale.name != name:
                     shutil.rmtree(stale, ignore_errors=True)
@@ -2218,7 +2146,14 @@ class DurableIndex:
             # raced the stream survive as the copied tail (appends hold
             # ``_lock``, which rotate's caller-side lock below excludes).
             with self._lock:
-                self._wal.rotate(lsn)
+                try:
+                    self._wal.rotate(lsn)
+                except BaseException as exc:
+                    if self._wal.closed:
+                        # Failed after its rename: which log is durable is
+                        # unknown until recover() reads the directory.
+                        self._poisoned = f"WAL rotation failed after its rename: {exc}"
+                    raise
             return self.path / name
 
 

@@ -46,15 +46,17 @@ class SDIndex:
       :meth:`batch_query` call and then reused; :meth:`query_session` returns
       it for direct batch use.
     * :meth:`insert`, :meth:`delete`, :meth:`bulk_insert` and
-      :meth:`bulk_delete` do **not** invalidate it: the flattened arrays are
-      patched in place (appended leaf rows, a tombstone validity mask,
-      loosened leaf bounds), so serving continues at full speed across
-      updates.
-    * Once accumulated tombstones plus bound-loosening appends exceed a
-      quarter of the live rows, the session marks itself dirty and reflattens
-      on the next query — exactly the projection tree's own rebuild policy.
-      Call :meth:`refresh_session` to force the reflatten eagerly (e.g. from a
-      maintenance thread after a bulk load).
+      :meth:`bulk_delete` do **not** invalidate it: it is an LSM session
+      (:class:`repro.core.lsm.LsmSession`) — inserts append to a small
+      mutable delta, deletes copy one level's validity mask, and every
+      successor is published copy-on-write, so serving continues at full
+      speed across updates.
+    * Flushes fold the delta into a fresh immutable level and size-tiered
+      merges keep the level count small (:meth:`flush`, :meth:`compact`,
+      DESIGN.md section 11); level tombstones past a quarter of the live
+      rows trigger a garbage-collecting merge — the projection tree's own
+      rebuild policy.  Call :meth:`refresh_session` to rebuild the session
+      from scratch eagerly.
 
     The single-query fast path returns scores bit-identical to the legacy
     threshold traversal, which remains available as the verification oracle
@@ -88,8 +90,6 @@ class SDIndex:
         leaf_capacity: int = 32,
         pairing: str = "order",
         row_ids: Optional[Sequence[int]] = None,
-        concurrency: str = "snapshot",
-        compaction: str = "size_tiered",
         flush_rows: Optional[int] = None,
         fanout: Optional[int] = None,
         background_compaction: bool = True,
@@ -116,17 +116,10 @@ class SDIndex:
             branching=branching,
             leaf_capacity=leaf_capacity,
             row_ids=row_ids,
-            concurrency=concurrency,
-            compaction=compaction,
             flush_rows=flush_rows,
             fanout=fanout,
             background_compaction=background_compaction,
         )
-
-    @property
-    def concurrency(self) -> str:
-        """``"snapshot"`` (epoch-isolated reads, default) or ``"unsafe"``."""
-        return self._aggregator.concurrency
 
     def _validate_roles(self) -> None:
         used = set(self.repulsive) | set(self.attractive)
@@ -256,24 +249,19 @@ class SDIndex:
 
         With the default ``seed_pool`` this is the same session the
         single-query fast path and :meth:`batch_query` use; its
-        ``maintenance_stats()`` expose how many updates were patched in place
-        and how often it reflattened.  Pass a custom ``seed_pool`` for a
-        private session (also maintained).
+        ``maintenance_stats()`` expose how many updates it absorbed and its
+        level layout.  Pass a custom ``seed_pool`` for a private session
+        (also maintained).
         """
         return self._aggregator.session(seed_pool=seed_pool)
 
     def refresh_session(self) -> None:
-        """Force the cached session to reflatten now (instead of lazily)."""
+        """Force the cached session to rebuild from the index structures now."""
         session = self._aggregator._serving_session
         if session is not None:
             session.reflatten()
 
     # ------------------------------------------------------------- maintenance
-    @property
-    def compaction(self) -> str:
-        """``"size_tiered"`` (LSM maintenance) or ``"legacy"`` (in-place)."""
-        return self._aggregator.compaction
-
     def lsm_maintain(self):
         """Run due LSM flushes/merges now; returns the structure ops applied."""
         return self._aggregator.lsm_maintain()
@@ -296,8 +284,7 @@ class SDIndex:
 
     def maintenance_stats(self):
         """The serving session's maintenance counters (patches, reflattens,
-        epochs; plus ``levels``/``flushes``/``compactions``/``delta_live``
-        when the default LSM session is in charge)."""
+        epochs, ``levels``/``flushes``/``compactions``/``delta_live``)."""
         return self._aggregator.maintenance_stats()
 
     def snapshot(self) -> "SDIndexSnapshot":
@@ -332,8 +319,8 @@ class SDIndex:
 
         ``mmap=True`` memory-maps the arrays for a near-instant warm start
         (the projection trees are rebuilt lazily, only when maintenance first
-        needs them); updates after an mmap load route through the
-        copy-on-write patch path, never the mapped file.  Raises
+        needs them); updates after an mmap load go to the delta and to
+        copied validity masks, never the mapped file.  Raises
         :class:`repro.core.persistence.SnapshotFormatError` on an unknown
         format version or a failed checksum.
         """
@@ -345,7 +332,7 @@ class SDIndex:
     def insert(self, point: Sequence[float], row_id: Optional[int] = None) -> int:
         """Insert a point into the index; returns its row id.
 
-        Cached query sessions are patched in place, not invalidated.
+        Cached query sessions absorb it, they are not invalidated.
         """
         return self._aggregator.insert(point, row_id)
 

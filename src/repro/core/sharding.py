@@ -1,10 +1,10 @@
 """Horizontally sharded serving over hash- or range-partitioned row sets.
 
-PRs 1-2 made a *single* index fast: the vectorized batch engine shares one
-flattened traversal across queries and the maintained :class:`QuerySession`
-survives updates in place.  One monolithic flat view is still one flat view —
-every query's candidate enumeration touches arrays proportional to the whole
-dataset, and one insert storm reflattens everything at once.  This module adds
+The vectorized batch engine makes a *single* index fast: it shares one
+flattened traversal across queries and its maintained query session survives
+updates.  One monolithic index is still one index — every query's candidate
+enumeration touches arrays proportional to the whole dataset, and every
+compaction re-walks the whole population.  This module adds
 the standard scale-out step for top-k serving (cf. NeedleTail's
 density/locality-aware any-k serving, arxiv 1611.04705, PAPERS.md):
 
@@ -16,9 +16,9 @@ density/locality-aware any-k serving, arxiv 1611.04705, PAPERS.md):
   rebalances route exactly.
 * **Per-shard engines.**  Each shard owns a full
   :class:`repro.core.aggregate.SubproblemAggregator` — its own projection
-  trees, sorted columns and maintained serving :class:`QuerySession` — so
-  updates patch K small flat views instead of one monolithic one, and a
-  garbage-triggered reflatten re-walks only the dirty shard.
+  trees, sorted columns and maintained serving session — so updates land in
+  K small LSM sessions instead of one monolithic one, and a compaction
+  re-walks only its own shard.
 * **Bound-ordered pruned serving.**  Before touching any shard, the engine
   collects one admissible upper bound per (query, shard) from the collapsed
   flat leaf arrays (:meth:`QuerySession.upper_bounds` — O(1) pseudo-leaves, not
@@ -56,7 +56,7 @@ from repro import faults
 from repro.core.aggregate import SubproblemAggregator, claim_row_id
 from repro.core.batch import BatchQuerySpec, SessionSnapshot, _prune_bound
 from repro.core.deadline import Deadline, DeadlineExceeded
-from repro.core.epoch import EpochManager, validate_concurrency
+from repro.core.epoch import EpochManager
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, IndexStats, ShardCoverage, TopKResult
 
@@ -239,14 +239,12 @@ class ShardedIndex:
     through the :class:`ShardRouter`; ``serve_stats`` records, per serving
     call, how many shard probes ran versus were pruned by the bound order.
 
-    **Concurrency.**  Under the default ``concurrency="snapshot"`` every
-    serving call pins a consistent cut — the topology epoch plus one session
-    epoch per shard — before touching any data, so ``insert`` /
-    ``bulk_delete`` / :meth:`rebalance` running on other threads can never
-    tear an in-flight probe (DESIGN.md section 6).  Writers serialize on an
-    internal lock; :meth:`snapshot` hands the same pinned cut to callers that
-    want repeatable reads across several queries.  ``concurrency="unsafe"``
-    keeps the legacy in-place patching (single-threaded mutation only).
+    **Concurrency.**  Every serving call pins a consistent cut — the
+    topology epoch plus one session epoch per shard — before touching any
+    data, so ``insert`` / ``bulk_delete`` / :meth:`rebalance` running on other
+    threads can never tear an in-flight probe (DESIGN.md section 6).  Writers
+    serialize on an internal lock; :meth:`snapshot` hands the same pinned cut
+    to callers that want repeatable reads across several queries.
     """
 
     def __init__(
@@ -261,14 +259,12 @@ class ShardedIndex:
         parallel: bool = True,
         max_workers: Optional[int] = None,
         row_ids: Optional[Sequence[int]] = None,
-        concurrency: str = "snapshot",
         resilience: Optional["ResiliencePolicy"] = None,
         **index_options,
     ) -> None:
         matrix = np.asarray(data, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("data must be an (n, m) matrix of points")
-        validate_concurrency(concurrency)
         self.repulsive = tuple(int(d) for d in repulsive)
         self.attractive = tuple(int(d) for d in attractive)
         self.num_dims = matrix.shape[1]
@@ -297,7 +293,6 @@ class ShardedIndex:
             # distance, so range-disjoint shards are the ones bound pruning
             # can rule out.
             range_dim = (self.attractive or self.repulsive)[0]
-        self.concurrency = concurrency
         self.rebalance_threshold = float(rebalance_threshold)
         self.parallel = bool(parallel)
         self._max_workers = max_workers
@@ -358,7 +353,6 @@ class ShardedIndex:
             repulsive=self.repulsive,
             attractive=self.attractive,
             row_ids=[int(r) for r in rows],
-            concurrency=self.concurrency,
             **self._index_options,
         )
 

@@ -41,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.angles import AngleGrid
-from repro.core.epoch import EpochManager, validate_concurrency
+from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
 from repro.core.projection_tree import ProjectionTree, StreamSpec
 from repro.core.results import IndexStats, Match, TopKResult
@@ -61,9 +61,7 @@ class TopKIndex:
         leaf_capacity: int = 32,
         row_ids: Optional[Sequence[int]] = None,
         rebuild_threshold: float = 0.25,
-        concurrency: str = "snapshot",
     ) -> None:
-        validate_concurrency(concurrency)
         self.angle_grid = angle_grid or AngleGrid.default()
         self.tree = ProjectionTree(
             x,
@@ -76,14 +74,13 @@ class TopKIndex:
         )
         #: Maintained flattened view backing the ``"flat"`` strategy and
         #: ``batch_query``: built lazily, patched on updates, reflattened once
-        #: its garbage fraction exceeds ``rebuild_threshold``.  Under
-        #: ``concurrency="snapshot"`` each patch clones the view copy-on-write
-        #: and publishes it as a new epoch, so readers holding the previous
-        #: view (or a pinned :meth:`snapshot`) are immune to the writer.
+        #: its garbage fraction exceeds ``rebuild_threshold``.  Each patch
+        #: clones the view copy-on-write and publishes it as a new epoch, so
+        #: readers holding the previous view (or a pinned :meth:`snapshot`)
+        #: are immune to the writer.
         self._flat = None
         self._flat_dirty = False
         self._flat_threshold = float(rebuild_threshold)
-        self.concurrency = concurrency
         self._write_lock = threading.RLock()
         self.flat_epochs = EpochManager()
         self.session_reflattens = 0
@@ -367,8 +364,8 @@ class TopKIndex:
 
         The cached flat view, if built, is patched rather than discarded: the
         point is appended to its covering leaf and only that leaf's bounds
-        loosen.  Snapshot mode patches a copy-on-write clone and publishes it,
-        so readers of the previous view are unaffected.
+        loosen.  The patch lands on a copy-on-write clone that is then
+        published, so readers of the previous view are unaffected.
         """
         with self._write_lock:
             row = self.tree.insert(x, y, row_id)
@@ -377,10 +374,7 @@ class TopKIndex:
                 if flat.num_leaves == 0:
                     self._flat_dirty = True
                 else:
-                    # Clone for snapshot isolation — and whenever the view's
-                    # arrays are read-only (restored via ``load(mmap=True)``).
-                    if self.concurrency == "snapshot" or not flat.live.flags.writeable:
-                        flat = flat.clone()
+                    flat = flat.clone()
                     flat.append_points([row], [float(x)], [float(y)])
                     self._install_flat(flat)
             return row
@@ -389,22 +383,20 @@ class TopKIndex:
         """Delete a point (see :meth:`ProjectionTree.delete`).
 
         The cached flat view tombstones the row through its validity mask
-        (on a published copy-on-write clone under snapshot mode).
+        (on a published copy-on-write clone).
         """
         with self._write_lock:
             self.tree.delete(row_id)
             flat = self._flat
             if flat is not None and not self._flat_dirty:
-                if self.concurrency == "snapshot" or not flat.live.flags.writeable:
-                    flat = flat.clone()
+                flat = flat.clone()
                 flat.tombstone_rows([row_id])
                 self._install_flat(flat)
 
     def _install_flat(self, flat) -> None:
         """Publish a patched flat view and re-check its garbage threshold."""
-        if flat is not self._flat:
-            self._flat = flat
-            self.flat_epochs.publish(flat)
+        self._flat = flat
+        self.flat_epochs.publish(flat)
         if flat.garbage_fraction() > self._flat_threshold:
             self._flat_dirty = True
 

@@ -1,15 +1,10 @@
 """Deterministic, seed-driven fault injection plane (DESIGN.md section 9).
 
-PR 5 proved crash hooks earn their keep: ``install_fault_hook`` let the
-recovery suite kill a subprocess *between* two specific writes and assert
-the WAL contract byte by byte.  But that hook lives inside
-:mod:`repro.core.persistence`, fires only on durability boundaries, and can
-only do whatever the installed callable does.  The rest of the stack — shard
-probes, kernel dispatch, epoch pin/publish, coalescer flushes — had no
-injection surface at all, so "what happens when one shard is slow" was
-untestable without monkeypatching internals.
-
-This module generalizes the idea into a first-class *fault plane*:
+Every layer of the stack — WAL appends and rotations, snapshot streams, shard
+probes, kernel dispatch, epoch pin/publish, coalescer flushes — exposes named
+injection sites, so "what happens when one shard is slow" or "what if the
+process dies between these two writes" is testable without monkeypatching
+internals.  One plane serves them all:
 
 * **Named fault points.**  Every instrumented site declares itself with
   :func:`declare_fault_point` at import time and calls :func:`fire` inline.
@@ -25,6 +20,9 @@ This module generalizes the idea into a first-class *fault plane*:
 * **Zero cost when idle.**  :func:`fire` is one module-global read and a
   ``None`` check when no plane is installed — cheap enough for serving-path
   call sites.
+* **Open to callbacks.**  A subclass may override :meth:`FaultPlane.fire`
+  to run arbitrary code at a point; the crash-recovery tests kill their
+  process at the nth hit of one durability point that way.
 
 Faults raised by the plane are :class:`InjectedFault`, carrying the point
 name and a ``transient`` flag — the signal the resilience layer

@@ -72,21 +72,18 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def clear(self, reset_counters: bool = True) -> None:
-        """Drop every entry; by default also zero the lifetime counters.
+    def clear(self) -> None:
+        """Drop every entry and zero the lifetime counters.
 
         An explicit clear starts a new observation window, so ``stats()``
         reporting hits/misses/evictions accumulated *before* the clear would
-        misattribute them to the fresh cache (the bug this default fixes).
-        Pass ``reset_counters=False`` to keep the lifetime tallies — e.g.
-        when clearing only to bound memory mid-run.
+        misattribute them to the fresh cache.
         """
         self._entries.clear()
-        if reset_counters:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.rejected_degraded = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.rejected_degraded = 0
 
     def stats(self) -> Dict[str, int]:
         """Counters for monitoring and the benchmark report."""

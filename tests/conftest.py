@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines import SequentialScan
 from repro.core.query import SDQuery
+from repro.faults import FaultPlane
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +43,20 @@ def assert_same_scores(result, expected, tol: float = 1e-9) -> None:
     assert len(mine) == len(theirs), f"sizes differ: {len(mine)} vs {len(theirs)}"
     for a, b in zip(mine, theirs):
         assert abs(a - b) <= tol, f"score mismatch: {mine} vs {theirs}"
+
+
+class CallbackPlane(FaultPlane):
+    """A fault plane that runs ``callback(point)`` at every fault-point hit.
+
+    For injections the declarative rules cannot express: a subprocess crash
+    (``os._exit`` at the nth hit of one point), a specific exception such as
+    ``OSError``, or a write that races a checkpoint at an exact boundary.
+    Install it like any plane, e.g. ``with faults.fault_plane(plane):``.
+    """
+
+    def __init__(self, callback) -> None:
+        super().__init__(())
+        self._callback = callback
+
+    def fire(self, point: str, key=None) -> None:
+        self._callback(point)

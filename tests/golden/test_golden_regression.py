@@ -111,7 +111,7 @@ CONCURRENT_CHECKPOINTS = (0, 40, 80, 120)
 #: chosen to land mid-layering.  The replay drives the LSM engine with a tiny
 #: flush threshold, so the frozen answers pin the delta + levels merge path
 #: — flushes, tier merges, tombstone collection — against the oracle, next
-#: to the ``compaction="legacy"`` engine on the same script.
+#: to the sharded engines on the same script.
 WRITE_HEAVY_SCENARIO = {
     "distribution": "uniform",
     "num_points": 300,
@@ -506,9 +506,8 @@ class TestGoldenWriteHeavy:
 
     The LSM replay uses a tiny flush threshold so every checkpoint lands on
     a genuinely layered world — the frozen answers pin the delta + levels
-    merge read path, not just the single-level fast path — and the legacy
-    engine replays the identical script, anchoring both maintenance modes
-    to the same oracle.
+    merge read path, not just the single-level fast path — and the sharded
+    engines replay the identical script against the same oracle.
     """
 
     def _load(self):
@@ -582,17 +581,29 @@ class TestGoldenWriteHeavy:
         assert session.compactions > 0
         assert session.reflattens == 0
 
-    def test_legacy_engine_matches_fixture(self):
+    def test_background_compaction_engine_matches_fixture(self):
+        """The same replay with maintenance on the background compactor
+        thread: however its flips interleave with the writes, every pinned
+        checkpoint answers as frozen and no epoch leaks."""
         config = WRITE_HEAVY_SCENARIO
-        self._replay(
+        options = dict(WRITE_HEAVY_LSM_OPTIONS, background_compaction=True)
+        engine = self._replay(
             lambda data: SDIndex.build(
                 data,
                 repulsive=config["repulsive"],
                 attractive=config["attractive"],
-                compaction="legacy",
+                **options,
             ),
-            "legacy",
+            "lsm-background",
         )
+        engine.quiesce_maintenance()
+        session = engine._aggregator.serving_session()
+        assert session.background
+        assert session.flushes > 0
+        assert session.reflattens == 0
+        report = session.epochs.leak_report()
+        assert report["pinned_readers"] == 0
+        assert report["live_epochs"] == 1
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_sharded_lsm_engine_matches_fixture(self, num_shards):

@@ -706,6 +706,66 @@ class TestDurabilityFaults:
             assert got[j].scores == expect[j].scores
         recovered.close()
 
+    @pytest.mark.parametrize(
+        "point", ["wal.rotate.written", "wal.rotate.replaced", "wal.rotate.synced"]
+    )
+    def test_failed_rotation_never_loses_an_acknowledged_write(self, tmp_path, point):
+        """A checkpoint whose WAL rotation raises after the CURRENT flip.
+
+        Before the rename the old log stays live, so the next write is
+        acknowledged and recovered.  After it the rename may not be durable:
+        the wrapper is poisoned and refuses the write rather than acknowledge
+        one that a log it no longer owns would lose."""
+        from repro.core.persistence import DurableIndex
+
+        data = _dataset(seed=59, rows=60)
+        engine = SDIndex.build(data, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+        durable = DurableIndex.create(engine, tmp_path / "dur")
+        store = {row: data[row] for row in range(len(data))}
+        rng = np.random.default_rng(67)
+        for _ in range(4):
+            point_in = rng.uniform(0, 1, size=NUM_DIMS)
+            store[durable.insert(point_in)] = point_in
+        plane = FaultPlane([FaultRule(point, times=1)])
+        with faults.fault_plane(plane):
+            with pytest.raises(InjectedFault):
+                durable.checkpoint()
+        late = np.full(NUM_DIMS, 0.5)
+        try:
+            durable.insert(late, row_id=80_000)
+            acknowledged = True
+        except RuntimeError as exc:
+            assert "poisoned" in str(exc)
+            acknowledged = False
+        durable.close()
+
+        recovered = DurableIndex.recover(tmp_path / "dur")
+        if acknowledged:
+            store[80_000] = late
+        assert len(recovered) == len(store)  # an acknowledged write survives
+        rows = sorted(store)
+        oracle = SequentialScan(
+            np.asarray([store[row] for row in rows], dtype=float),
+            REPULSIVE,
+            ATTRACTIVE,
+            row_ids=rows,
+        )
+        probe = np.random.default_rng(71).random((3, NUM_DIMS))
+        expect = oracle.batch_query(probe, k=5)
+        got = recovered.batch_query(probe, k=5)
+        for j in range(3):
+            assert got[j].row_ids == expect[j].row_ids
+            assert got[j].scores == expect[j].scores
+        # Only a failure before the rename leaves the wrapper writable.
+        assert acknowledged == (point == "wal.rotate.written")
+        # The recovered store checkpoints and rotates cleanly again.
+        recovered.insert(np.full(NUM_DIMS, 0.25), row_id=90_000)
+        recovered.checkpoint()
+        recovered.close()
+        again = DurableIndex.recover(tmp_path / "dur")
+        assert again.point(90_000) is not None
+        again.close()
+
 
 # ------------------------------------------------------- compaction faults
 class TestCompactionFaults:

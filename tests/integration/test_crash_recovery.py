@@ -5,7 +5,7 @@ The recovery invariant under test: after a crash at *any* point —
 * a torn WAL tail (the file truncated at every byte boundary of its final
   records),
 * a process killed (``os._exit``) at named fault points inside an append or a
-  checkpoint, via subprocess drivers,
+  checkpoint, via subprocess drivers that install a callback fault plane,
 * a truncated or bit-flipped snapshot array, a missing or mangled manifest —
 
 ``DurableIndex.recover`` either yields an engine whose top-k answers are
@@ -211,27 +211,55 @@ def test_unknown_format_version(scenario):
 
 
 # ----------------------------------------------------------- subprocess kills
-DRIVER = textwrap.dedent(
+#: Prelude of every kill driver: ``install_kill(point, n)`` installs a fault
+#: plane that kills the process (``os._exit``) at the nth hit of ``point``.
+KILL_PRELUDE = textwrap.dedent(
     """
     import os, sys
     import numpy as np
+    from repro import faults
     from repro.core import persistence
     from repro.core.sdindex import SDIndex
+    from tests.conftest import CallbackPlane
 
+    def install_kill(fault_point, fault_at):
+        seen = {"count": 0}
+
+        def kill(point):
+            if point == fault_point:
+                seen["count"] += 1
+                if seen["count"] == fault_at:
+                    os._exit(1)  # simulated crash: no flush, no cleanup
+
+        faults.install_fault_plane(CallbackPlane(kill))
+    """
+)
+
+
+def run_driver(script: str, *args) -> subprocess.CompletedProcess:
+    """Run a kill driver in a fresh interpreter (``src`` and ``tests`` importable)."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    paths = [str(root / "src"), str(root)] + ([existing] if existing else [])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return subprocess.run(
+        [sys.executable, "-c", KILL_PRELUDE + script, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+DRIVER = textwrap.dedent(
+    """
     path, fault_point, fault_at = sys.argv[1], sys.argv[2], int(sys.argv[3])
-    seen = {"count": 0}
-
-    def hook(point):
-        if point == fault_point:
-            seen["count"] += 1
-            if seen["count"] == fault_at:
-                os._exit(1)  # simulated crash: no flush, no cleanup
-
     rng = np.random.default_rng(7)
     data = rng.random((120, 4))
     engine = SDIndex.build(data, repulsive=(0, 1), attractive=(2, 3))
     durable = persistence.DurableIndex.create(engine, path)
-    persistence.install_fault_hook(hook)
+    install_kill(fault_point, fault_at)
     for step in range(30):
         durable.insert(rng.random(4))
         if step == 14:
@@ -267,17 +295,7 @@ def test_subprocess_kill_recovers_exact_prefix(tmp_path, fault_point, fault_at):
     recovered LSN selects that prefix; answers must match it bit for bit.
     """
     target = tmp_path / "dur"
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    result = subprocess.run(
-        [sys.executable, "-c", DRIVER, str(target), fault_point, str(fault_at)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_driver(DRIVER, target, fault_point, fault_at)
     assert result.returncode == 1, (
         f"fault point {fault_point!r} never fired: {result.stderr}"
     )
@@ -351,25 +369,15 @@ def test_sharded_torn_tail_recovers_prefix(tmp_path):
 # ----------------------------------------------------- WAL rotation durability
 ROTATE_DRIVER = textwrap.dedent(
     """
-    import os, sys
-    import numpy as np
-    from repro.core import persistence
-    from repro.core.sdindex import SDIndex
-
     path, fault_point = sys.argv[1], sys.argv[2]
-
-    def hook(point):
-        if point == fault_point:
-            os._exit(1)  # simulated crash mid-rotation: no flush, no cleanup
-
     rng = np.random.default_rng(11)
     data = rng.random((100, 4))
     engine = SDIndex.build(data, repulsive=(0, 1), attractive=(2, 3))
     durable = persistence.DurableIndex.create(engine, path, fsync="os")
     for _ in range(12):
         durable.insert(rng.random(4))
-    persistence.install_fault_hook(hook)
-    durable.checkpoint()  # rotates the WAL; the hook kills inside rotate()
+    install_kill(fault_point, 1)
+    durable.checkpoint()  # rotates the WAL; the plane kills inside rotate()
     os._exit(0)  # the fault point never fired
     """
 )
@@ -391,17 +399,7 @@ def test_rotation_crash_never_resurrects_superseded_tail(tmp_path, fault_point):
     never a lost acknowledged write.
     """
     target = tmp_path / "dur"
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    result = subprocess.run(
-        [sys.executable, "-c", ROTATE_DRIVER, str(target), fault_point],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_driver(ROTATE_DRIVER, target, fault_point)
     assert result.returncode == 1, (
         f"fault point {fault_point!r} never fired: {result.stderr}"
     )
@@ -575,24 +573,8 @@ def test_merge_crash_keeps_unmerged_levels_replayable(tmp_path):
 
 LSM_KILL_DRIVER = textwrap.dedent(
     """
-    import os, sys
-    import numpy as np
-    from repro import faults
-    from repro.core import persistence
-    from repro.core.sdindex import SDIndex
-
     path, fault_point, fault_at = sys.argv[1], sys.argv[2], int(sys.argv[3])
-    seen = {"count": 0}
-    original_fire = faults.fire
-
-    def fire(point, key=None):
-        if point == fault_point:
-            seen["count"] += 1
-            if seen["count"] == fault_at:
-                os._exit(1)  # simulated crash: no flush, no cleanup
-        original_fire(point, key)
-
-    faults.fire = fire
+    install_kill(fault_point, fault_at)
     rng = np.random.default_rng(7)
     data = rng.random((40, 4))
     engine = SDIndex.build(
@@ -623,17 +605,7 @@ def test_subprocess_kill_during_lsm_maintenance(tmp_path, fault_point, fault_at)
     the durability kills; on top of it, recovery must be structurally
     deterministic (two recoveries, identical level layout)."""
     target = tmp_path / "dur"
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    result = subprocess.run(
-        [sys.executable, "-c", LSM_KILL_DRIVER, str(target), fault_point, str(fault_at)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_driver(LSM_KILL_DRIVER, target, fault_point, fault_at)
     assert result.returncode == 1, (
         f"fault point {fault_point!r} never fired: {result.stderr}"
     )

@@ -21,9 +21,8 @@ A deterministic long-run variant drives 1,000 interleaved updates through the
 same five-way comparison at periodic checkpoints — the acceptance scenario of
 the sharded serving engine.
 
-Every engine runs LSM maintenance (``compaction="size_tiered"``, the default)
-with a deliberately tiny ``flush_rows`` so the fuzzed populations actually
-layer into multiple levels: the merged delta + levels read path, mid-stream
+Every engine runs its LSM sessions with a deliberately tiny ``flush_rows``
+so the fuzzed populations actually layer into multiple levels: the merged delta + levels read path, mid-stream
 flushes and level merges are all inside the exact-agreement envelope.  An
 explicit ``compact`` rule forces flush/merge at hypothesis-chosen points, and
 a WAL-journaled :class:`DurableIndex` member verifies that durability-driven

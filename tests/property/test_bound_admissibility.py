@@ -87,9 +87,7 @@ def _assert_no_topk_member_pruned(engine, data, queries, row_ids=None) -> None:
 )
 def test_flat_engine_admissible_at_scale(seed, rows, scale, ks, alphas, betas):
     data, points = _data_and_queries(seed, rows, scale)
-    engine = SDIndex.build(
-        data, repulsive=REPULSIVE, attractive=ATTRACTIVE, compaction="legacy"
-    )
+    engine = SDIndex.build(data, repulsive=REPULSIVE, attractive=ATTRACTIVE)
     queries = _queries(points, ks, alphas, betas)
     _assert_no_topk_member_pruned(engine, data, queries)
 

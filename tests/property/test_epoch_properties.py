@@ -164,4 +164,4 @@ class TestRefcountDrain:
         assert report["live_epochs"] == 1
         assert report["reclaimed"] == report["published"] - 1
         # The surviving epoch is the current one and still holds its state.
-        assert manager.current.state is not None
+        assert manager.current_state() is not None

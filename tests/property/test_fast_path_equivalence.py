@@ -3,9 +3,8 @@
 The fast path (``SDIndex.query`` default, ``TopKIndex`` ``"flat"`` strategy)
 must return bit-identical scores to the legacy threshold traversal and to the
 ``SequentialScan`` oracle, and must stay exact while the cached query session
-is patched in place by interleaved ``insert``/``delete``/``bulk_insert``/
-``bulk_delete`` sequences — including across threshold-triggered
-reflattening.  Row-id equality with the legacy path is guarded by the usual
+absorbs interleaved ``insert``/``delete``/``bulk_insert``/``bulk_delete``
+sequences — including across flushes and merges.  Row-id equality with the legacy path is guarded by the usual
 boundary-tie check (the legacy traversal resolves an exact tie at the k-th
 boundary by traversal order, the fast path by row id); on the continuous
 seeded datasets ties do not occur and the tests assert unconditionally.
@@ -115,9 +114,8 @@ class TestSessionMaintenance:
                 oracle = _oracle(matrix, rows, query)
                 assert fast.scores == legacy.scores == oracle.scores
                 assert fast.row_ids == oracle.row_ids
-        # 120 updates on 400 points stay under the 25% garbage threshold only
-        # at first; whatever happened, every patched answer above was exact and
-        # the session was never *stale* (patched or reflattened, never wrong).
+        # Whatever flushes and merges the 120 updates triggered, every answer
+        # above was exact and the session was never *stale*.
         stats = session.maintenance_stats()
         assert stats["patched_inserts"] + stats["patched_deletes"] > 0
 
@@ -148,37 +146,80 @@ class TestSessionMaintenance:
         assert fast.row_ids == expected.row_ids
 
     @pytest.mark.parametrize("roles", [((0, 1, 2), (3,)), ((0,), (1, 2, 3))])
-    def test_bulk_insert_keeps_leftover_columns_sorted(self, roles):
-        """Regression: splicing a same-gap, descending-valued bulk insert into
-        the session's sorted columns must presort the batch, or every
-        searchsorted probe afterwards sees an unsorted array and the fast path
-        silently drops true answers."""
+    def test_flushed_levels_keep_leftover_columns_sorted(self, roles):
+        """Same-gap, descending-valued inserts must reach every level's
+        leftover sorted columns in sorted order, through a flush and a merge,
+        or every searchsorted probe afterwards sees an unsorted array and the
+        fast path silently drops true answers."""
         repulsive, attractive = roles
         rng = np.random.default_rng(46)
         # A deliberate value gap in every dimension around (0.4, 0.6).
         base = rng.random((300, 4))
         base = np.where((base > 0.4) & (base < 0.6), base - 0.4, base)
-        # The splice under test is the legacy in-place patch path; LSM
-        # sessions absorb inserts into the delta and never splice.
         index = SDIndex.build(
-            base, repulsive=repulsive, attractive=attractive, compaction="legacy"
+            base, repulsive=repulsive, attractive=attractive,
+            flush_rows=2, fanout=2, background_compaction=False,
         )
         session = index.query_session()
-        # Two batches landing inside the gap in descending order.
+        # Two batches landing inside the gap in descending order; the second
+        # fills the delta past flush_rows and folds all three into a level.
         index.bulk_insert(np.full((1, 4), 0.52))
         index.bulk_insert(np.vstack([np.full(4, 0.55), np.full(4, 0.48)]))
-        for dim, values in session._col_values.items():
-            assert np.all(np.diff(values) >= 0), f"column {dim} unsorted"
         rows = list(range(303))
         matrix = np.vstack([base, np.full((1, 4), 0.52),
                             np.full((1, 4), 0.55), np.full((1, 4), 0.48)])
-        for target in (0.47, 0.50, 0.53, 0.56):
-            query = SDQuery.simple([target] * 4, repulsive, attractive, k=3)
-            fast = index.query(query)
-            oracle = _oracle(matrix, rows, query)
-            assert fast.scores == oracle.scores
-            legacy = index.query(query, engine="legacy")
-            assert fast.scores == legacy.scores
+        for expected_levels in (2, 1):
+            world = session.epochs.current_state()
+            assert len(world.levels) == expected_levels
+            assert world.delta.num_live == 0
+            for level in world.levels:
+                assert level.state.col_values, "roles leave no leftover column"
+                for dim, values in level.state.col_values.items():
+                    assert np.all(np.diff(values) >= 0), f"column {dim} unsorted"
+            for target in (0.47, 0.50, 0.53, 0.56):
+                query = SDQuery.simple([target] * 4, repulsive, attractive, k=3)
+                fast = index.query(query)
+                oracle = _oracle(matrix, rows, query)
+                assert fast.scores == oracle.scores
+                legacy = index.query(query, engine="legacy")
+                assert fast.scores == legacy.scores
+            index.compact()
+
+    def test_garbage_threshold_triggers_compaction_and_stays_exact(self):
+        from repro.core.lsm import LsmSession
+
+        rng = np.random.default_rng(44)
+        base = rng.random((150, 4))
+        index = SDIndex.build(base, repulsive=[0, 1], attractive=[2, 3])
+        serving = index.query_session()
+        session = LsmSession(index.aggregator, reflatten_threshold=0.05, background=False)
+        live = {i: base[i] for i in range(len(base))}
+        for _ in range(15):
+            point = rng.random(4)
+            live[index.insert(point)] = point
+        # The 8th level tombstone crosses 5% of the ~157 live rows: the
+        # session's own threshold compacts it; the stock 25% one does not.
+        for victim in range(15):
+            index.delete(victim)
+            del live[victim]
+        assert session.compactions == 1
+        assert serving.compactions == 0
+        assert session.reflattens == serving.reflattens == 0
+        structure = session.structure()
+        assert [lvl["tombstoned"] for lvl in structure["levels"]] == [7]
+        assert structure["delta_live"] == 15  # inserts stay below flush_rows
+        rows = list(live)
+        matrix = np.array([live[r] for r in rows])
+        points = rng.random((5, 4))
+        batch = session.run(points, k=4)
+        oracle = SequentialScan(matrix, [0, 1], [2, 3], row_ids=rows).batch_query(points, k=4)
+        for j in range(5):
+            assert batch[j].row_ids == oracle[j].row_ids
+            assert batch[j].scores == oracle[j].scores
+        # ...and the session keeps absorbing writes after the compaction.
+        patched_before = session.patched_inserts
+        index.insert(rng.random(4))
+        assert session.patched_inserts == patched_before + 1
 
     def test_bulk_insert_validation(self):
         rng = np.random.default_rng(43)
@@ -194,40 +235,6 @@ class TestSessionMaintenance:
         # Failed validation must not have mutated anything.
         assert len(index) == 30
         index.query(rng.random(4), k=3)
-
-    def test_threshold_triggers_reflatten_and_stays_exact(self):
-        rng = np.random.default_rng(44)
-        base = rng.random((150, 4))
-        index = SDIndex.build(base, repulsive=[0, 1], attractive=[2, 3])
-        aggregator = index.aggregator
-        from repro.core.batch import QuerySession
-
-        session = QuerySession(aggregator, reflatten_threshold=0.05)
-        live = {i: base[i] for i in range(len(base))}
-        # 30 updates >> 5% of 150: the garbage threshold must trip.
-        for _ in range(15):
-            point = rng.random(4)
-            live[index.insert(point)] = point
-        for victim in range(15):
-            index.delete(victim)
-            del live[victim]
-        assert session.needs_reflatten
-        rows = list(live)
-        matrix = np.array([live[r] for r in rows])
-        points = rng.random((5, 4))
-        batch = session.run(points, k=4)
-        assert session.reflattens == 1
-        assert not session.needs_reflatten
-        oracle = SequentialScan(matrix, [0, 1], [2, 3], row_ids=rows).batch_query(points, k=4)
-        for j in range(5):
-            assert batch[j].row_ids == oracle[j].row_ids
-            assert batch[j].scores == oracle[j].scores
-        # ...and the session keeps being patched after the reflatten (patches
-        # that arrive while the session is dirty are skipped, not counted).
-        patched_before = session.patched_inserts
-        new_row = index.insert(rng.random(4))
-        live[new_row] = index.point(new_row)
-        assert session.patched_inserts == patched_before + 1
 
     def test_empty_index_grows_through_patches(self):
         index = SDIndex.build(np.empty((0, 4)), repulsive=[0, 1], attractive=[2, 3])

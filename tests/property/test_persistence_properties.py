@@ -6,7 +6,9 @@ then "crashes" it by truncating the WAL at a random byte offset and recovers.
 The recovered engine's top-k answers must be bit-identical to an in-memory
 :class:`SequentialScan` oracle that never crashed and applied exactly the
 surviving op prefix (the recovered LSN names it).  Runs across the flat and
-sharded{1,2,4} engines and both concurrency modes.
+sharded{1,2,4} engines, plus flat and sharded{2} engines with a tiny flush
+threshold: the flat one journals its flushes and merges, so the crash can
+cut between them, and the shards schedule their own, which replay re-derives.
 
 Hypothesis chooses only the shape of the sequence plus a seed; coordinates
 come from a numpy generator under that seed, so scores are continuous and
@@ -33,13 +35,16 @@ ATTRACTIVE = (2, 3)
 NUM_DIMS = 4
 
 ENGINES = [
-    ("flat", None, "snapshot"),
-    ("flat", None, "unsafe"),
-    ("sharded", 1, "snapshot"),
-    ("sharded", 2, "snapshot"),
-    ("sharded", 2, "unsafe"),
-    ("sharded", 4, "snapshot"),
+    ("flat", None),
+    ("sharded", 1),
+    ("sharded", 2),
+    ("sharded", 4),
+    ("layered", None),
+    ("layered", 2),
 ]
+
+#: Build options of the ``layered`` engines: nearly every write op flushes.
+LAYERED_OPTIONS = dict(flush_rows=4, fanout=2, background_compaction=False)
 
 op_strategy = st.lists(
     st.sampled_from(["insert", "delete", "bulk_insert", "bulk_delete", "checkpoint"]),
@@ -48,10 +53,11 @@ op_strategy = st.lists(
 )
 
 
-def build_engine(kind, shards, concurrency, data):
-    if kind == "flat":
+def build_engine(kind, shards, data):
+    options = LAYERED_OPTIONS if kind == "layered" else {}
+    if shards is None:
         return SDIndex.build(
-            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency=concurrency
+            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, **options
         )
     return ShardedIndex(
         data,
@@ -59,11 +65,11 @@ def build_engine(kind, shards, concurrency, data):
         attractive=ATTRACTIVE,
         num_shards=shards,
         partitioner="range" if shards % 2 == 0 else "hash",
-        concurrency=concurrency,
+        **options,
     )
 
 
-def run_scenario(tmp_root, kind, shards, concurrency, ops, seed, crash_fraction):
+def run_scenario(tmp_root, kind, shards, ops, seed, crash_fraction):
     rng = np.random.default_rng(seed)
     initial = int(rng.integers(40, 120))
     data = rng.random((initial, NUM_DIMS))
@@ -72,7 +78,7 @@ def run_scenario(tmp_root, kind, shards, concurrency, ops, seed, crash_fraction)
     path = tmp_root / "dur"
     if path.exists():
         shutil.rmtree(path)
-    engine = build_engine(kind, shards, concurrency, data)
+    engine = build_engine(kind, shards, data)
     durable = DurableIndex.create(engine, path)
 
     # Apply the op script, mirroring every journaled mutation into a parallel
@@ -158,11 +164,11 @@ def run_scenario(tmp_root, kind, shards, concurrency, ops, seed, crash_fraction)
     for a, b in zip(expected.results, got.results):
         assert [(m.row_id, m.score) for m in a.matches] == [
             (m.row_id, m.score) for m in b.matches
-        ], (kind, shards, concurrency, surviving)
+        ], (kind, shards, surviving)
     recovered.close()
 
 
-@pytest.mark.parametrize("kind,shards,concurrency", ENGINES)
+@pytest.mark.parametrize("kind,shards", ENGINES)
 @settings(
     max_examples=int(os.environ.get("REPRO_PERSIST_EXAMPLES", "8")),
     deadline=None,
@@ -174,9 +180,9 @@ def run_scenario(tmp_root, kind, shards, concurrency, ops, seed, crash_fraction)
     crash_fraction=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_checkpoint_crash_recover_matches_oracle(
-    tmp_path, kind, shards, concurrency, ops, seed, crash_fraction
+    tmp_path, kind, shards, ops, seed, crash_fraction
 ):
-    run_scenario(tmp_path, kind, shards, concurrency, ops, seed, crash_fraction)
+    run_scenario(tmp_path, kind, shards, ops, seed, crash_fraction)
 
 
 def test_recovered_prefix_survives_journaled_maintenance(tmp_path):
@@ -194,7 +200,7 @@ def test_recovered_prefix_survives_journaled_maintenance(tmp_path):
         + ["delete"] * 6
         + ["bulk_delete", "bulk_delete", "delete", "checkpoint", "insert"]
     )
-    run_scenario(tmp_path, "flat", None, "snapshot", ops, 17417, 0.0)
+    run_scenario(tmp_path, "flat", None, ops, 17417, 0.0)
 
 
 @pytest.mark.slow
@@ -213,7 +219,7 @@ def test_recovered_prefix_survives_journaled_maintenance(tmp_path):
 )
 def test_exhaustive_sharded_crash_sweep(tmp_path, ops, seed, crash_fraction):
     """Nightly lane: longer scripts on the 4-shard range engine."""
-    run_scenario(tmp_path, "sharded", 4, "snapshot", ops, seed, crash_fraction)
+    run_scenario(tmp_path, "sharded", 4, ops, seed, crash_fraction)
 
 
 def test_mmap_recovery_matches_full_recovery(tmp_path):

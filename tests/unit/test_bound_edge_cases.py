@@ -61,10 +61,27 @@ class TestEmptyLiveSet:
     """``n_live == 0``: seeding finds nothing, the threshold is -inf, and the
     engine must return an empty result instead of tripping on empty pools."""
 
-    @pytest.mark.parametrize("compaction", ["legacy", "size_tiered"])
-    def test_query_after_deleting_everything(self, compaction):
-        index = build_index(rows=12, compaction=compaction)
-        index.bulk_delete(list(range(12)))
+    @pytest.mark.parametrize("layout", ["collected", "tombstoned", "delta"])
+    def test_query_after_deleting_everything(self, layout):
+        """Each empty world answers empty: the garbage compaction collected
+        the only level away, the level stays fully tombstoned (scheduling
+        off), or the dead rows also sit in the delta."""
+        index = build_index(rows=12, flush_rows=100)
+        session = index.query_session()
+        victims = list(range(12))
+        if layout == "tombstoned":
+            index.set_auto_compaction(False)
+        elif layout == "delta":
+            rng = np.random.default_rng(5)
+            victims += index.bulk_insert(rng.random((6, NUM_DIMS)))
+        index.bulk_delete(victims)
+        structure = session.structure()
+        assert structure["delta_live"] == 0
+        if layout == "tombstoned":
+            assert [lvl["tombstoned"] for lvl in structure["levels"]] == [12]
+        else:
+            assert structure["levels"] == []
+        assert structure["delta_rows"] == (6 if layout == "delta" else 0)
         result = index.query(make_query(0, k=5))
         assert list(result.row_ids) == []
         assert list(result.scores) == []
@@ -83,7 +100,7 @@ class TestLargeK:
 
     def test_k_beyond_verify_pool_matches_oracle(self):
         rows = 4 * _VERIFY_POOL
-        index = build_index(rows=rows, compaction="legacy")
+        index = build_index(rows=rows)
         assert_matches_oracle(index, k=_VERIFY_POOL + 40)
 
     def test_k_beyond_verify_pool_lsm(self):
@@ -141,7 +158,7 @@ class TestSeedPoolValidation:
             index._aggregator.session(seed_pool=bad, cached=False)
 
     def test_seed_pool_of_one_is_legal(self):
-        index = build_index(rows=8, compaction="legacy")
+        index = build_index(rows=8)
         session = index._aggregator.session(seed_pool=1, cached=False)
         oracle = oracle_of(index)
         query = make_query(2, k=3)

@@ -1,9 +1,9 @@
-"""Unit tests for the concurrency knob and the snapshot view surfaces.
+"""Unit tests for copy-on-write publication and the snapshot view surfaces.
 
 The multi-threaded behavior is exercised by the stress suite; these tests pin
-down the single-threaded contracts: the ``"unsafe"`` mode stays exact (it is
-the legacy in-place patching), invalid modes are rejected everywhere, and the
-snapshot views expose their lifecycle/metadata correctly.
+down the single-threaded contracts: updates stay exact while every one
+publishes a successor epoch, and the snapshot views expose their
+lifecycle/metadata correctly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from repro.baselines import SequentialScan
 from repro.core.aggregate import SubproblemAggregator
-from repro.core.batch import QuerySession
 from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.top1 import Top1Index
@@ -33,108 +32,93 @@ def _oracle(store, points, k):
     ).batch_query(points, k=k)
 
 
-class TestUnsafeMode:
-    """``concurrency="unsafe"`` keeps the legacy in-place patch semantics."""
+def test_flat_updates_stay_exact():
+    rng = np.random.default_rng(31)
+    data = rng.random((120, 4))
+    index = SDIndex.build(data, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+    store = {row: data[row] for row in range(120)}
+    points = rng.random((3, 4))
+    index.batch_query(points, k=4)  # build the session
+    for step in range(40):
+        if step % 3 == 0 and len(store) > 10:
+            victim = sorted(store)[step % len(store)]
+            index.delete(victim)
+            del store[victim]
+        else:
+            point = rng.random(4)
+            store[index.insert(point)] = point
+    batch = index.batch_query(points, k=4)
+    expected = _oracle(store, points, 4)
+    for j in range(3):
+        assert batch[j].row_ids == expected[j].row_ids
+        assert batch[j].scores == expected[j].scores
+    # Every update publishes a copy-on-write successor epoch.
+    session = index.query_session()
+    assert session.epochs.published > 1 + session.reflattens
 
-    @pytest.mark.parametrize("concurrency", ["snapshot", "unsafe"])
-    def test_flat_updates_stay_exact(self, concurrency):
-        rng = np.random.default_rng(31)
-        data = rng.random((120, 4))
-        index = SDIndex.build(
-            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency=concurrency
-        )
-        assert index.concurrency == concurrency
-        store = {row: data[row] for row in range(120)}
+
+def test_sharded_updates_stay_exact():
+    rng = np.random.default_rng(32)
+    data = rng.random((150, 4))
+    engine = ShardedIndex(
+        data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=3
+    )
+    try:
         points = rng.random((3, 4))
-        index.batch_query(points, k=4)  # build the session
-        for step in range(40):
-            if step % 3 == 0 and len(store) > 10:
-                victim = sorted(store)[step % len(store)]
-                index.delete(victim)
-                del store[victim]
-            else:
-                point = rng.random(4)
-                store[index.insert(point)] = point
-        batch = index.batch_query(points, k=4)
-        expected = _oracle(store, points, 4)
+        pinned = engine.snapshot()  # builds every shard's session
+        built = [
+            engine.shard(s).serving_session().epochs.published for s in range(3)
+        ]
+        store = {row: data[row] for row in range(150)}
+        for row in range(0, 30):
+            engine.delete(row)
+            del store[row]
+        fresh = rng.random((20, 4))
+        for row, point in zip(engine.bulk_insert(fresh), fresh):
+            store[row] = point
+        batch = engine.batch_query(points, k=5)
+        expected = _oracle(store, points, 5)
         for j in range(3):
             assert batch[j].row_ids == expected[j].row_ids
             assert batch[j].scores == expected[j].scores
-        session = index.query_session()
-        if concurrency == "unsafe":
-            # In-place patching: epochs are published only by (re)builds,
-            # never per update.
-            assert session.epochs.published == 1 + session.reflattens
-        else:
-            assert session.epochs.published > 1 + session.reflattens
+        # Each shard published successors; the pinned views saw none of them.
+        for s in range(3):
+            assert engine.shard(s).serving_session().epochs.published > built[s]
+        old = pinned.batch_query(points, k=5)
+        original = _oracle({row: data[row] for row in range(150)}, points, 5)
+        for j in range(3):
+            assert old[j].row_ids == original[j].row_ids
+            assert old[j].scores == original[j].scores
+        pinned.close()
+    finally:
+        engine.close()
 
-    def test_unsafe_sharded_updates_stay_exact(self):
-        rng = np.random.default_rng(32)
-        data = rng.random((150, 4))
-        engine = ShardedIndex(
-            data,
-            repulsive=REPULSIVE,
-            attractive=ATTRACTIVE,
-            num_shards=3,
-            concurrency="unsafe",
-        )
-        try:
-            store = {row: data[row] for row in range(150)}
-            for row in range(0, 30):
-                engine.delete(row)
-                del store[row]
-            fresh = rng.random((20, 4))
-            for row, point in zip(engine.bulk_insert(fresh), fresh):
-                store[row] = point
-            points = rng.random((3, 4))
-            batch = engine.batch_query(points, k=5)
-            expected = _oracle(store, points, 5)
-            for j in range(3):
-                assert batch[j].row_ids == expected[j].row_ids
-                assert batch[j].scores == expected[j].scores
-        finally:
-            engine.close()
 
-    def test_unsafe_topk_patches_in_place(self):
-        rng = np.random.default_rng(33)
-        data = rng.random((80, 2))
-        index = TopKIndex(data[:, 0], data[:, 1], concurrency="unsafe")
-        index.query(0.5, 0.5, k=3)
+def test_topk_updates_publish_fresh_flat_views():
+    """A TopKIndex write clones the flat view and publishes the clone, so a
+    view pinned before the write keeps answering its own population."""
+    rng = np.random.default_rng(33)
+    data = rng.random((80, 2))
+    index = TopKIndex(data[:, 0], data[:, 1])
+    with index.snapshot() as snap:
+        before = snap.query(0.4, 0.6, k=4)
         flat_before = index.flat_session()
-        index.insert(0.1, 0.9)
-        index.delete(0)
-        assert index.flat_session() is flat_before  # same object, patched
-        streams = index.query(0.4, 0.6, k=4, strategy="streams")
-        flat = index.query(0.4, 0.6, k=4)
-        assert flat.row_ids == streams.row_ids
-        assert flat.scores == streams.scores
-
-    def test_invalid_mode_rejected_everywhere(self):
-        rng = np.random.default_rng(34)
-        data = rng.random((10, 4))
-        with pytest.raises(ValueError, match="concurrency"):
-            SDIndex.build(
-                data, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency="nope"
-            )
-        with pytest.raises(ValueError, match="concurrency"):
-            SubproblemAggregator(
-                data, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency="nope"
-            )
-        with pytest.raises(ValueError, match="concurrency"):
-            ShardedIndex(
-                data,
-                repulsive=REPULSIVE,
-                attractive=ATTRACTIVE,
-                num_shards=2,
-                concurrency="nope",
-            )
-        with pytest.raises(ValueError, match="concurrency"):
-            TopKIndex(data[:, 0], data[:, 1], concurrency="nope")
-        aggregator = SubproblemAggregator(
-            data, repulsive=REPULSIVE, attractive=ATTRACTIVE
-        )
-        with pytest.raises(ValueError, match="concurrency"):
-            QuerySession(aggregator, concurrency="nope")
+        published = index.flat_epochs.published
+        # Far away in the repulsive y and level in the attractive x: the new
+        # point is every query's top-1; the old top-1 is then deleted.
+        new_row = index.insert(0.4, 10.0)
+        index.delete(before.row_ids[0])
+        assert index.flat_session() is not flat_before
+        assert index.flat_epochs.published == published + 2
+        again = snap.query(0.4, 0.6, k=4)
+        assert again.row_ids == before.row_ids
+        assert again.scores == before.scores
+    streams = index.query(0.4, 0.6, k=4, strategy="streams")
+    flat = index.query(0.4, 0.6, k=4)
+    assert flat.row_ids[0] == new_row
+    assert before.row_ids[0] not in flat.row_ids
+    assert flat.row_ids == streams.row_ids
+    assert flat.scores == streams.scores
 
 
 class TestSnapshotSurfaces:

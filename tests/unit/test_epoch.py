@@ -15,13 +15,13 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             manager.pin()
         with pytest.raises(RuntimeError):
-            manager.current
+            manager.current_state()
 
     def test_publish_pin_release_roundtrip(self):
         manager = EpochManager()
         epoch = manager.publish({"rows": 3})
         assert epoch.version == 1
-        assert manager.current is epoch
+        assert manager.current_state() is epoch.state
         pinned = manager.pin()
         assert pinned is epoch
         assert pinned.pins == 1
@@ -119,8 +119,9 @@ class TestCurrentState:
         never touches the published state itself."""
         manager = EpochManager()
         manager.publish({"value": 1})
-        # The unsafe pattern: holding the epoch across a publish loses the state.
-        epoch = manager.current
+        # Holding an unpinned epoch across a publish loses the state.
+        epoch = manager.pin()
+        epoch.release()
         state = manager.current_state()
         manager.publish({"value": 2})
         assert epoch.state is None  # reclaimed out from under the holder

@@ -340,8 +340,8 @@ def _source_files(root: Path):
 
 
 class TestFaultPointRegistry:
-    #: fire()/_fault() call sites: the literal string argument.
-    _FIRE = re.compile(r"""(?:faults\.fire|_fault)\(\s*['"]([a-z0-9_.]+)['"]""")
+    #: fire() call sites: the literal string argument.
+    _FIRE = re.compile(r"""faults\.fire\(\s*['"]([a-z0-9_.]+)['"]""")
 
     def test_every_fired_point_is_declared(self):
         declared = set(_declared_points())

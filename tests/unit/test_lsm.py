@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import SequentialScan
-from repro.core.lsm import (
-    COMPACTION_MODES,
-    DeltaState,
-    LsmSession,
-    LsmWorld,
-    validate_compaction,
-)
+from repro.core.lsm import DeltaState, LsmSession, LsmWorld
 from repro.core.query import SDQuery
 from repro.core.sdindex import SDIndex
 
@@ -61,20 +55,6 @@ def check_against_oracle(index: SDIndex, seed: int = 3) -> None:
         want = oracle.query(query)
         assert got.row_ids == want.row_ids
         assert got.scores == want.scores
-
-
-class TestValidateCompaction:
-    def test_known_modes_pass_through(self):
-        for mode in COMPACTION_MODES:
-            assert validate_compaction(mode) == mode
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown compaction mode"):
-            validate_compaction("levelled")
-
-    def test_index_constructor_validates(self):
-        with pytest.raises(ValueError, match="unknown compaction mode"):
-            build_index(compaction="nope")
 
 
 class TestDeltaState:
@@ -120,19 +100,49 @@ class TestDeltaState:
 class TestSessionRouting:
     def test_default_session_is_lsm(self):
         index = build_index()
-        assert index.compaction == "size_tiered"
         assert isinstance(session_of(index), LsmSession)
 
-    def test_legacy_knob_restores_in_place_session(self):
-        index = build_index(compaction="legacy")
+    def test_build_options_reach_the_session(self):
+        index = build_index(flush_rows=12, fanout=3)
         session = session_of(index)
-        assert not isinstance(session, LsmSession)
+        assert (session.flush_rows, session.fanout, session.background) == (
+            12,
+            3,
+            False,
+        )
 
-    def test_lsm_requires_snapshot_concurrency(self):
-        index = build_index(concurrency="unsafe")
-        session = session_of(index)
-        # unsafe concurrency cannot publish epochs; routing falls back.
-        assert not isinstance(session, LsmSession)
+    def test_uncached_session_is_lsm_with_same_options(self):
+        index = build_index(flush_rows=12, fanout=3)
+        session = index._aggregator.session(cached=False)
+        assert isinstance(session, LsmSession)
+        assert session is not session_of(index)
+        assert (session.flush_rows, session.fanout) == (12, 3)
+        # A second session absorbs the same writes as the serving one.
+        index.bulk_insert(np.random.default_rng(4).random((5, NUM_DIMS)))
+        assert session.structure()["delta_live"] == 5
+        assert session.structure() == session_of(index).structure()
+
+    def test_shard_sessions_are_lsm_with_forwarded_options(self):
+        from repro.core.sharding import ShardedIndex
+
+        data = np.random.default_rng(7).random((40, NUM_DIMS))
+        engine = ShardedIndex(
+            data,
+            repulsive=REPULSIVE,
+            attractive=ATTRACTIVE,
+            num_shards=2,
+            flush_rows=12,
+            fanout=3,
+            background_compaction=False,
+        )
+        try:
+            for s in range(2):
+                session = engine.shard(s).serving_session()
+                assert isinstance(session, LsmSession)
+                assert (session.flush_rows, session.fanout) == (12, 3)
+                assert session.background is False
+        finally:
+            engine.close()
 
 
 class TestFlushAndCompact:
@@ -204,8 +214,8 @@ class TestFlushAndCompact:
         index = build_index(rows=16, flush_rows=100)
         session = session_of(index)
         # 6 dead / 10 live crosses the 25 % garbage threshold: the inline
-        # auto compactor collects immediately — the legacy reflatten
-        # trigger survives as one compaction trigger among several.
+        # auto compactor collects immediately — the reflatten threshold is
+        # one compaction trigger among several.
         index.bulk_delete(list(range(6)))
         structure = session.structure()
         assert structure["levels"][0]["tombstoned"] == 0
@@ -327,12 +337,12 @@ class TestAutoMaintenance:
 
 
 class TestDeltaAbsorbedDeletes:
-    """Satellite regression: a delete absorbed by the delta is not garbage.
+    """Regression: a delete absorbed by the delta is not garbage.
 
-    The in-place session double-counts an insert+delete round trip (one
-    ``appended`` plus one ``tombstoned`` for a net-zero row), which inflates
-    ``garbage_fraction`` and triggers spurious reflattens.  The LSM world
-    must count such a row in *neither* backlog.
+    Counting an insert+delete round trip as one ``appended`` plus one
+    ``tombstoned`` (a net-zero row) would inflate ``garbage_fraction`` and
+    trigger spurious compactions.  The LSM world must count such a row in
+    *neither* backlog.
     """
 
     def test_absorbed_delete_adds_no_level_garbage(self):

@@ -10,10 +10,14 @@ regression, and the durable wrapper's checkpoint/recover cycle.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.baselines import SequentialScan
+from repro.core.lsm import LsmSession
 from repro.core.persistence import (
     FORMAT_VERSION,
     OP_BULK_DELETE,
@@ -31,6 +35,7 @@ from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.top1 import Top1Index
 from repro.core.topk import TopKIndex
+from tests.conftest import CallbackPlane
 
 REPULSIVE = (0, 1)
 ATTRACTIVE = (2, 3)
@@ -223,8 +228,6 @@ class TestWriteAheadLog:
     def test_failed_append_rolls_back(self, tmp_path):
         """A write/fsync failure must not strand bytes that a retried append
         would follow with a duplicate LSN (bricking the next open)."""
-        from repro.core import persistence
-
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
         wal.append(OP_DELETE, [1])
@@ -235,12 +238,9 @@ class TestWriteAheadLog:
                 boom["armed"] = False
                 raise OSError("disk full (injected)")
 
-        persistence.install_fault_hook(hook)
-        try:
+        with faults.fault_plane(CallbackPlane(hook)):
             with pytest.raises(OSError, match="disk full"):
                 wal.append(OP_DELETE, [2])
-        finally:
-            persistence.install_fault_hook(None)
         assert wal.end_lsn == 1
         assert wal.append(OP_DELETE, [3]) == 2  # retry reuses the freed LSN
         wal.close()
@@ -304,13 +304,11 @@ def test_sdindex_restored_bookkeeping(dataset, tmp_path):
     np.testing.assert_array_equal(loaded.point(5), dataset[5])
 
 
-@pytest.mark.parametrize("concurrency", ["snapshot", "unsafe"])
-def test_mmap_loaded_index_accepts_updates(dataset, queries, tmp_path, concurrency):
-    """Regression (latent mutability): patching an mmap-restored state must
-    route through the copy-on-write clone path — mapped arrays are read-only."""
-    index = SDIndex.build(
-        dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency=concurrency
-    )
+def test_mmap_loaded_index_accepts_updates(dataset, queries, tmp_path):
+    """Regression (latent mutability): updates to an mmap-restored state must
+    go to the delta and to copied validity masks — mapped arrays are
+    read-only."""
+    index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
     index.save(tmp_path / "snap")
     loaded = SDIndex.load(tmp_path / "snap", mmap=True)
     store = {row: dataset[row].copy() for row in range(len(dataset))}
@@ -325,6 +323,76 @@ def test_mmap_loaded_index_accepts_updates(dataset, queries, tmp_path, concurren
             row = loaded.insert(point)
             store[row] = point
     same_answers(oracle_for(store, queries, 5), loaded.batch_query(queries, k=5))
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+def test_layered_world_roundtrips_and_keeps_maintaining(
+    dataset, queries, tmp_path, mmap
+):
+    """A saved layered world (three levels, level tombstones, a live delta)
+    restores with the same structure, options and answers, and its restored
+    levels (read-only when mapped) keep taking deletes, a flush and a merge."""
+    index = SDIndex.build(
+        dataset,
+        repulsive=REPULSIVE,
+        attractive=ATTRACTIVE,
+        flush_rows=16,
+        fanout=4,
+        background_compaction=False,
+    )
+    session = index.query_session()
+    store = {row: dataset[row].copy() for row in range(len(dataset))}
+    rng = np.random.default_rng(8)
+    for size in (16, 16, 5):  # two flushed levels, then five delta rows
+        fresh = rng.random((size, 4))
+        for row, point in zip(index.bulk_insert(fresh), fresh):
+            store[row] = point
+    for victim in (3, 10, 605):
+        index.delete(victim)
+        del store[victim]
+    layout = session.structure()
+    assert [lvl["rows"] for lvl in layout["levels"]] == [600, 16, 16]
+    assert [lvl["tombstoned"] for lvl in layout["levels"]] == [2, 1, 0]
+    assert layout["delta_live"] == 5
+    index.save(tmp_path / "snap")
+
+    loaded = SDIndex.load(tmp_path / "snap", mmap=mmap)
+    restored = loaded.query_session()
+    assert restored.structure() == layout
+    assert (restored.flush_rows, restored.fanout) == (16, 4)
+    same_answers(oracle_for(store, queries, 5), loaded.batch_query(queries, k=5))
+
+    for victim in (4, 620, 633):  # levels 1 and 3, then a delta row
+        loaded.delete(victim)
+        del store[victim]
+    fresh = rng.random((12, 4))
+    for row, point in zip(loaded.bulk_insert(fresh), fresh):
+        store[row] = point
+    assert restored.flushes == session.flushes + 1  # the delta reached 16
+    same_answers(oracle_for(store, queries, 5), loaded.batch_query(queries, k=5))
+    assert loaded.compact() is not None
+    assert len(restored.structure()["levels"]) == 1
+    same_answers(oracle_for(store, queries, 5), loaded.batch_query(queries, k=5))
+    loaded.close()
+
+
+def test_retired_mode_keys_in_a_snapshot_are_ignored(dataset, queries, tmp_path):
+    """Snapshots written while the engine still had mode knobs carry their
+    keys in the payload; loading ignores them and restores the LSM session."""
+    index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+    index.bulk_insert(np.random.default_rng(9).random((7, 4)))
+    index.delete(12)
+    expected = index.batch_query(queries, k=5)
+    index.save(tmp_path / "snap")
+    manifest_path = tmp_path / "snap" / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "concurrency" not in manifest["payload"]
+    assert "compaction" not in manifest["payload"]
+    manifest["payload"].update({"concurrency": "snapshot", "compaction": "size_tiered"})
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = SDIndex.load(tmp_path / "snap")
+    assert isinstance(loaded.query_session(), LsmSession)
+    same_answers(expected, loaded.batch_query(queries, k=5))
 
 
 def test_leftover_dim_reflatten_after_load(tmp_path):
@@ -573,8 +641,6 @@ class TestDurableIndex:
     def test_checkpoint_rotation_keeps_racing_mutations(self, dataset, tmp_path):
         """Mutations landing while a checkpoint streams survive the rotation
         as the WAL tail (the log stays bounded without requiring quiescence)."""
-        from repro.core import persistence
-
         index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
         durable = DurableIndex.create(index, tmp_path / "dur")
         rng = np.random.default_rng(29)
@@ -587,11 +653,8 @@ class TestDurableIndex:
                 racing["fired"] = True
                 durable.insert(rng.random(4), row_id=9_999)
 
-        persistence.install_fault_hook(race_one_insert)
-        try:
+        with faults.fault_plane(CallbackPlane(race_one_insert)):
             durable.checkpoint()
-        finally:
-            persistence.install_fault_hook(None)
         assert racing["fired"]
         assert durable.wal.end_lsn == durable.wal.base_lsn + 1  # the tail
         expected = durable.batch_query(rng.random((4, 4)), k=3)
@@ -696,8 +759,6 @@ class TestDurableIndex:
         ahead of the journal: further mutations and checkpoints must refuse
         (making the divergence durable), while recover() restores the
         journal-consistent prefix."""
-        from repro.core import persistence
-
         index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
         durable = DurableIndex.create(index, tmp_path / "dur")
         durable.insert(np.full(4, 0.25), row_id=5_000)
@@ -708,12 +769,9 @@ class TestDurableIndex:
                 boom["armed"] = False
                 raise OSError("disk full (injected)")
 
-        persistence.install_fault_hook(hook)
-        try:
+        with faults.fault_plane(CallbackPlane(hook)):
             with pytest.raises(OSError, match="disk full"):
                 durable.insert(np.full(4, 0.75), row_id=6_000)
-        finally:
-            persistence.install_fault_hook(None)
         # Applied but unjournaled: the live engine answers with it...
         assert durable.point(6_000) is not None
         # ...but the wrapper refuses to deepen the divergence.

@@ -153,7 +153,7 @@ class TestResultCache:
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
 
-    def test_clear_resets_counters_by_default(self):
+    def test_clear_resets_counters(self):
         cache = ResultCache(capacity=1)
         cache.put("a", 1, "A")
         cache.put("b", 1, "B")  # evicts a
@@ -166,16 +166,6 @@ class TestResultCache:
         assert after["entries"] == 0
         assert (after["hits"], after["misses"], after["evictions"]) == (0, 0, 0)
         assert after["rejected_degraded"] == 0
-
-    def test_clear_can_keep_lifetime_counters(self):
-        cache = ResultCache(capacity=4)
-        cache.put("a", 1, "A")
-        assert cache.get("a", 1) == "A"
-        assert cache.get("zzz", 1) is None
-        cache.clear(reset_counters=False)
-        assert len(cache) == 0
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
 
 
 class TestTickCoalescer:
