@@ -63,7 +63,8 @@ def main() -> int:
     )
     queries = workload.queries()
 
-    # Warm both paths once (first-touch allocations, branch caches).
+    # Warm both paths once (the first legacy query builds the pair trees;
+    # first-touch allocations, branch caches).
     index.query(queries[0], engine="legacy")
     index.batch_query(workload)
 

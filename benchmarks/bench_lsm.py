@@ -54,8 +54,8 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_lsm.json"
 def run_engine(data, script, workload):
     """Apply the update script, timing each op; return (stats, answers)."""
     index = SDIndex.build(data, repulsive=REPULSIVE, attractive=ATTRACTIVE)
-    # Materialize the serving session so updates exercise the publish path
-    # (sessions are created lazily on first read).
+    # One read before the stream, as a serving engine would see (the session
+    # itself is built with the index).
     index.batch_query(workload.reads)
     latencies = np.empty(len(script), dtype=float)
     for i, (op, row, point) in enumerate(script):

@@ -5,11 +5,12 @@ What a restart costs is the whole reason the persistence subsystem exists
 (DESIGN.md section 7), so this benchmark measures exactly that:
 
 * **Cold rebuild vs snapshot load vs mmap load.**  Building the SD-Index from
-  the raw matrix pays the full projection-tree construction; loading a
-  snapshot restores the flattened serving arrays directly (trees deferred);
-  ``load(mmap=True)`` maps them and touches pages on demand.  All three must
-  answer the probe batch bit-identically — the speedups are only reported if
-  the answers match.
+  the raw matrix builds and flattens one projection tree per dimension pair
+  for the serving session; loading a snapshot restores the flattened serving
+  arrays directly (no tree is built: neither serving nor WAL replay needs
+  the legacy pair trees); ``load(mmap=True)`` maps them and touches pages on
+  demand.  All three must answer the probe batch bit-identically — the
+  speedups are only reported if the answers match.
 * **WAL replay throughput.**  A recovery is a snapshot load plus a replay of
   the journaled tail; ops/second of the replay bounds how much un-checkpointed
   history a deployment can afford.  Reported both as pure replay rate (from
@@ -90,7 +91,7 @@ def main() -> int:
         # ---------------------------------------------- cold build vs loads
         started = time.perf_counter()
         index = SDIndex.build(data, repulsive=REPULSIVE, attractive=ATTRACTIVE)
-        baseline = answers_of(index, queries, ks)  # also builds the session
+        baseline = answers_of(index, queries, ks)
         cold_seconds = time.perf_counter() - started
 
         started = time.perf_counter()

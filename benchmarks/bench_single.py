@@ -78,7 +78,7 @@ def main() -> int:
     )
     queries = workload.queries()
 
-    # Warm both engines (the fast path lazily builds the serving session here).
+    # Warm both engines (the first legacy query builds the pair trees here).
     index.query(queries[0], engine="legacy")
     index.query(queries[0])
 

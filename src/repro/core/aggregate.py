@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,25 +35,35 @@ from repro.substrates.bidirectional import FarthestFirstExplorer, NearestFirstEx
 from repro.substrates.heaps import BoundedMaxHeap
 from repro.substrates.sorted_column import SortedColumn
 
-__all__ = ["SubproblemAggregator", "claim_row_id"]
+__all__ = ["SubproblemAggregator", "claim_row_ids"]
 
 
-def claim_row_id(row_id, max_row_id: int, is_deleted, is_present) -> int:
+def claim_row_ids(
+    row_ids: Optional[Sequence[int]], count: int, max_row_id: int, is_deleted, is_present
+) -> List[int]:
     """The row-id claim policy shared by the aggregator and the sharded router.
 
-    ``None`` auto-assigns one past the high-water mark ``max_row_id``; deleted
-    ids are never reusable (their physical copies may still sit in bulk
-    arrays) and live ids cannot be claimed twice.  Callers advance their own
-    high-water mark with the returned id.
+    ``None`` auto-assigns ``count`` ids past the high-water mark
+    ``max_row_id``.  Explicit ids must align with the points and be unique;
+    deleted ids are never reusable (their physical copies may still sit in
+    bulk arrays) and live ids cannot be claimed twice.  Every id is checked
+    before any is returned, so a rejected batch claims nothing; callers then
+    advance their own high-water mark once, with the returned ids.
     """
-    if row_id is None:
-        row_id = max_row_id + 1
-    row_id = int(row_id)
-    if is_deleted(row_id):
-        raise ValueError(f"row id {row_id} was deleted and cannot be reused")
-    if is_present(row_id):
-        raise ValueError(f"row id {row_id} already present")
-    return row_id
+    if row_ids is None:
+        ids = list(range(max_row_id + 1, max_row_id + 1 + count))
+    else:
+        ids = [int(r) for r in row_ids]
+        if len(ids) != count:
+            raise ValueError("row_ids must align with the points")
+        if len(set(ids)) != len(ids):
+            raise ValueError("row ids must be unique")
+    for row_id in ids:
+        if is_deleted(row_id):
+            raise ValueError(f"row id {row_id} was deleted and cannot be reused")
+        if is_present(row_id):
+            raise ValueError(f"row id {row_id} already present")
+    return ids
 
 
 class _PairStream:
@@ -126,8 +136,9 @@ class SubproblemAggregator:
         if fanout is not None:
             self._lsm_options["fanout"] = int(fanout)
         self._lsm_options["background"] = bool(background_compaction)
-        #: Serializes writers (and session rebuilds, which read the structures
-        #: writers mutate).  Reentrant: a writer patch may trigger a rebuild.
+        #: Serializes writers with session rebuilds and legacy traversals,
+        #: which read the structures writers mutate.  Reentrant: a writer
+        #: patch may trigger a rebuild.
         self._write_lock = threading.RLock()
         self._num_dims = matrix.shape[1]
         self.repulsive = tuple(int(d) for d in repulsive)
@@ -155,32 +166,25 @@ class SubproblemAggregator:
         self.pairing: DimensionPairing = pair_dimensions(
             self.repulsive, self.attractive, strategy=pairing, data=matrix
         )
-        self._pair_indexes: List[TopKIndex] = []
-        for rep_dim, att_dim in self.pairing.pairs:
-            self._pair_indexes.append(
-                TopKIndex(
-                    x=matrix[:, att_dim],
-                    y=matrix[:, rep_dim],
-                    angle_grid=self.angle_grid,
-                    branching=branching,
-                    leaf_capacity=leaf_capacity,
-                    row_ids=rows,
-                )
-            )
         self._column_dims = list(self.pairing.leftover_repulsive) + list(
             self.pairing.leftover_attractive
         )
-        self._columns: Dict[int, SortedColumn] = {
-            dim: SortedColumn(matrix[:, dim], row_ids=rows) for dim in self._column_dims
-        }
-        self._columns_dirty = False
+        #: The legacy traversal's per-pair projection trees and leftover-dim
+        #: sorted columns.  Only ``query`` and ``stats`` read them, so nothing
+        #: builds them until one of those does (:meth:`_legacy_structures`);
+        #: from then on writes patch the trees and drop the columns for a
+        #: rebuild on next use.
+        self._pair_indexes: Optional[List[TopKIndex]] = None
+        self._columns: Optional[Dict[int, SortedColumn]] = None
         self._mutations = 0
         #: Live query sessions every update is pushed to (weak refs so
-        #: abandoned sessions disappear), plus the lazily built serving session
-        #: backing the single-query fast path and ``batch_query``.
+        #: abandoned sessions disappear).
         self._sessions: List[weakref.ref] = []
-        self._serving_session = None
         self._closed = False
+        #: The serving session backing the single-query fast path,
+        #: ``batch_query`` and snapshots.  Built now, so the first read after
+        #: a build never waits for it.
+        self._serving_session = self._make_session()
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
@@ -202,7 +206,8 @@ class SubproblemAggregator:
 
     @property
     def write_lock(self) -> threading.RLock:
-        """The writer mutex: mutations and session (re)builds serialize on it."""
+        """The writer mutex: mutations, session (re)builds and legacy
+        traversals serialize on it."""
         return self._write_lock
 
     def point(self, row_id: int) -> np.ndarray:
@@ -214,13 +219,61 @@ class SubproblemAggregator:
             return self._extra_points[row_id]
         return self._base_matrix[self._base_rows[row_id]]
 
-    def _live_rows(self) -> Iterator[int]:
-        for row in self._base_rows:
-            if row not in self._deleted:
-                yield row
-        for row in self._extra_points:
-            if row not in self._deleted:
-                yield row
+    def _is_present(self, row_id: int) -> bool:
+        """True if ``row_id`` was ever stored (live or deleted)."""
+        return row_id in self._base_rows or row_id in self._extra_points
+
+    def live_population(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The live rows as ``(row_ids, matrix)``: build rows first, then inserts.
+
+        The one assembly of the population that session rebuilds, the legacy
+        structures and shard rebalances are built from, vectorized over the
+        row bookkeeping and read under the write lock.
+        """
+        with self._write_lock:
+            base, extras = self._base_rows, self._extra_points
+            base_rows = np.fromiter(base.keys(), dtype=np.int64, count=len(base))
+            if not self._deleted and not extras:
+                return base_rows, self._base_matrix
+            positions = np.fromiter(base.values(), dtype=np.int64, count=len(base))
+            rows = np.concatenate(
+                [base_rows, np.fromiter(extras.keys(), dtype=np.int64, count=len(extras))]
+            )
+            deleted = np.fromiter(self._deleted, dtype=np.int64, count=len(self._deleted))
+            live = ~np.isin(rows, deleted)
+            # Restored engines keep deleted ids at sentinel position -1: mask
+            # before gathering.
+            parts = [self._base_matrix[positions[live[: len(base)]]]]
+            if extras:
+                inserted = np.asarray(list(extras.values()), dtype=float)
+                parts.append(inserted[live[len(base) :]])
+            return rows[live], np.vstack(parts)
+
+    def _legacy_structures(self) -> Tuple[List[TopKIndex], Dict[int, SortedColumn]]:
+        """The pair trees and sorted columns, built from the live rows if missing.
+
+        Callers hold the write lock: the trees are patched in place by writers.
+        """
+        self._check_closed()
+        if self._pair_indexes is None or self._columns is None:
+            rows, matrix = self.live_population()
+            if self._pair_indexes is None:
+                row_ids = rows.tolist()
+                self._pair_indexes = [
+                    TopKIndex(
+                        x=matrix[:, att_dim],
+                        y=matrix[:, rep_dim],
+                        angle_grid=self.angle_grid,
+                        branching=self.branching,
+                        leaf_capacity=self.leaf_capacity,
+                        row_ids=row_ids,
+                    )
+                    for rep_dim, att_dim in self.pairing.pairs
+                ]
+            self._columns = {
+                dim: SortedColumn(matrix[:, dim], row_ids=rows) for dim in self._column_dims
+            }
+        return self._pair_indexes, self._columns
 
     # ------------------------------------------------------------------ updates
     def _register_session(self, session) -> None:
@@ -228,64 +281,53 @@ class SubproblemAggregator:
         self._sessions = [ref for ref in self._sessions if ref() is not None]
         self._sessions.append(weakref.ref(session))
 
-    def _patch_sessions(self, method: str, *args) -> None:
-        """Push one update to every live session (dead weak refs are dropped)."""
+    def _apply_write(self, ids: List[int], matrix: Optional[np.ndarray] = None) -> None:
+        """Finish a validated insert (``matrix`` given) or delete of ``ids``.
+
+        Built pair trees are patched; columns are dropped for a rebuild on the
+        next legacy query.  Then every live session absorbs the write (dead
+        weak refs are dropped) and may schedule LSM maintenance — either hand
+        the due flush/merge to its background compactor or, inline, perform
+        it now under the already held reentrant lock.
+        """
+        if self._pair_indexes is not None:
+            for index, (rep_dim, att_dim) in zip(self._pair_indexes, self.pairing.pairs):
+                if matrix is None:
+                    for row_id in ids:
+                        index.delete(row_id)
+                else:
+                    for row_id, vector in zip(ids, matrix):
+                        index.insert(vector[att_dim], vector[rep_dim], row_id)
+        if self._column_dims:
+            self._columns = None
+        self._mutations += 1
+        id_array = np.asarray(ids, dtype=np.int64)
         alive: List[weakref.ref] = []
         for ref in self._sessions:
             session = ref()
-            if session is None:
-                continue
-            getattr(session, method)(*args)
-            alive.append(ref)
+            if session is not None:
+                if matrix is None:
+                    session.apply_bulk_delete(id_array)
+                else:
+                    session.apply_bulk_insert(id_array, matrix)
+                alive.append(ref)
         self._sessions = alive
-
-    def _maintain_sessions(self) -> None:
-        """Post-write LSM trigger: let every session schedule work.
-
-        Called by the mutators while still holding the write lock; sessions
-        either hand the due flush/merge to their background compactor thread
-        or (inline mode) perform it now under the already held reentrant lock.
-        """
-        for ref in self._sessions:
+        for ref in alive:
             session = ref()
             if session is not None:
                 session.maybe_maintain()
 
-    def _validate_new_point(self, point) -> np.ndarray:
+    def insert(self, point: Sequence[float], row_id: Optional[int] = None) -> int:
+        """Insert one point; returns its row id.
+
+        Live query sessions append it to their delta.  The pair trees are
+        patched only if a legacy query or :meth:`stats` has built them; until
+        then the insert touches no tree.  See :meth:`bulk_insert`.
+        """
         vector = np.asarray(point, dtype=float)
         if vector.shape != (self._num_dims,):
             raise ValueError(f"point must have {self._num_dims} dimensions")
-        return vector
-
-    def _claim_row_id(self, row_id: Optional[int]) -> int:
-        row_id = claim_row_id(
-            row_id,
-            self._max_row_id,
-            self._deleted.__contains__,
-            lambda r: r in self._base_rows or r in self._extra_points,
-        )
-        self._max_row_id = max(self._max_row_id, row_id)
-        return row_id
-
-    def insert(self, point: Sequence[float], row_id: Optional[int] = None) -> int:
-        """Insert a point into every subproblem structure.
-
-        Live query sessions absorb the row into their delta rather than
-        being invalidated — see :meth:`session`.
-        """
-        vector = self._validate_new_point(point)
-        with self._write_lock:
-            self._check_closed()
-            row_id = self._claim_row_id(row_id)
-            self._extra_points[row_id] = vector
-            for index, (rep_dim, att_dim) in zip(self._pair_indexes, self.pairing.pairs):
-                index.insert(vector[att_dim], vector[rep_dim], row_id)
-            if self._column_dims:
-                self._columns_dirty = True
-            self._mutations += 1
-            self._patch_sessions("apply_insert", row_id, vector)
-            self._maintain_sessions()
-            return row_id
+        return self.bulk_insert(vector[None, :], None if row_id is None else [row_id])[0]
 
     def bulk_insert(
         self, points, row_ids: Optional[Sequence[int]] = None
@@ -293,11 +335,14 @@ class SubproblemAggregator:
         """Insert many points at once; returns their row ids.
 
         Semantically identical to calling :meth:`insert` in a loop, but the
-        whole batch is validated up front, counts as a single mutation, and
-        live query sessions absorb it with one vectorized append instead of
-        one per point.
+        whole batch is validated up front (a rejected batch inserts nothing
+        and claims no id), counts as a single mutation, and live query
+        sessions absorb it with one vectorized delta append instead of one
+        per point.  No tree is built or patched unless the legacy structures
+        already exist.
         """
-        matrix = np.asarray(points, dtype=float)
+        # A private copy: the legacy trees may be built from it much later.
+        matrix = np.array(points, dtype=float)
         if matrix.size == 0:
             matrix = matrix.reshape(0, self._num_dims)
         if matrix.ndim != 2 or matrix.shape[1] != self._num_dims:
@@ -306,101 +351,76 @@ class SubproblemAggregator:
             )
         with self._write_lock:
             self._check_closed()
-            if row_ids is None:
-                ids = [self._claim_row_id(None) for _ in range(len(matrix))]
-            else:
-                ids = [int(r) for r in row_ids]
-                if len(ids) != len(matrix):
-                    raise ValueError("row_ids must align with the points")
-                if len(set(ids)) != len(ids):
-                    raise ValueError("row ids must be unique")
-                ids = [self._claim_row_id(r) for r in ids]
-            if not len(matrix):
-                return []
-            for row_id, vector in zip(ids, matrix):
-                self._extra_points[row_id] = vector
-                for index, (rep_dim, att_dim) in zip(self._pair_indexes, self.pairing.pairs):
-                    index.insert(vector[att_dim], vector[rep_dim], row_id)
-            if self._column_dims:
-                self._columns_dirty = True
-            self._mutations += 1
-            self._patch_sessions(
-                "apply_bulk_insert", np.asarray(ids, dtype=np.int64), matrix
+            ids = claim_row_ids(
+                row_ids,
+                len(matrix),
+                self._max_row_id,
+                self._deleted.__contains__,
+                self._is_present,
             )
-            self._maintain_sessions()
+            if not ids:
+                return []
+            self._max_row_id = max(self._max_row_id, max(ids))
+            self._extra_points.update(zip(ids, matrix))
+            self._apply_write(ids, matrix)
             return ids
 
     def delete(self, row_id: int) -> None:
-        """Delete a point from every subproblem structure.
+        """Delete one row.
 
-        Live query sessions tombstone the row through a validity mask
-        instead of being invalidated.
+        Live query sessions tombstone it (a delta mask or a level validity
+        mask).  The pair trees are patched only if a legacy query or
+        :meth:`stats` has built them.  See :meth:`bulk_delete`.
         """
-        row_id = int(row_id)
-        with self._write_lock:
-            self._check_closed()
-            if row_id in self._deleted or (
-                row_id not in self._base_rows and row_id not in self._extra_points
-            ):
-                raise KeyError(f"row id {row_id} not present")
-            self._deleted.add(row_id)
-            for index in self._pair_indexes:
-                index.delete(row_id)
-            if self._column_dims:
-                self._columns_dirty = True
-            self._mutations += 1
-            self._patch_sessions("apply_delete", row_id)
-            self._maintain_sessions()
+        self.bulk_delete([row_id])
 
     def bulk_delete(self, row_ids: Sequence[int]) -> None:
-        """Delete many rows at once (validated up front, one session patch)."""
+        """Delete many rows at once (validated up front, one session patch).
+
+        Live query sessions tombstone the rows (delta mask or level validity
+        mask) instead of being invalidated.
+        """
         ids = [int(r) for r in row_ids]
         if len(set(ids)) != len(ids):
             raise ValueError("row ids must be unique")
         with self._write_lock:
             self._check_closed()
             for row_id in ids:
-                if row_id in self._deleted or (
-                    row_id not in self._base_rows and row_id not in self._extra_points
-                ):
+                if row_id in self._deleted or not self._is_present(row_id):
                     raise KeyError(f"row id {row_id} not present")
             if not ids:
                 return
             self._deleted.update(ids)
-            for row_id in ids:
-                for index in self._pair_indexes:
-                    index.delete(row_id)
-            if self._column_dims:
-                self._columns_dirty = True
-            self._mutations += 1
-            self._patch_sessions("apply_bulk_delete", np.asarray(ids, dtype=np.int64))
-            self._maintain_sessions()
-
-    def _refresh_columns(self) -> None:
-        with self._write_lock:
-            rows = list(self._live_rows())
-            for dim in self._column_dims:
-                values = [float(self.point(row)[dim]) for row in rows]
-                self._columns[dim] = SortedColumn(values, row_ids=rows)
-            self._columns_dirty = False
+            self._apply_write(ids)
 
     # ------------------------------------------------------------------ querying
     def query(self, query: SDQuery) -> TopKResult:
-        """Answer an SD-Query whose dimension roles match this aggregator."""
+        """Answer an SD-Query by the threshold traversal over the subproblems.
+
+        The legacy engine and the oracle of the fast path.  It runs under the
+        write lock, because it reads the pair trees that writers patch in
+        place; the first call (or :meth:`stats`) builds them.
+        """
         if set(query.repulsive) != set(self.repulsive) or set(query.attractive) != set(
             self.attractive
         ):
             raise ValueError(
                 "query dimension roles do not match the roles the index was built for"
             )
-        if self._columns_dirty:
-            self._refresh_columns()
+        with self._write_lock:
+            return self._traverse(query, *self._legacy_structures())
 
+    def _traverse(
+        self,
+        query: SDQuery,
+        pair_indexes: List[TopKIndex],
+        columns: Dict[int, SortedColumn],
+    ) -> TopKResult:
         alpha_of = dict(zip(query.repulsive, query.alpha))
         beta_of = dict(zip(query.attractive, query.beta))
 
         streams: List = []
-        for index, (rep_dim, att_dim) in zip(self._pair_indexes, self.pairing.pairs):
+        for index, (rep_dim, att_dim) in zip(pair_indexes, self.pairing.pairs):
             streams.append(
                 _PairStream(
                     index,
@@ -413,7 +433,7 @@ class SubproblemAggregator:
         for dim in self.pairing.leftover_repulsive:
             streams.append(
                 _ColumnStream(
-                    FarthestFirstExplorer(self._columns[dim], query.point[dim]),
+                    FarthestFirstExplorer(columns[dim], query.point[dim]),
                     weight=alpha_of[dim],
                     attractive=False,
                 )
@@ -421,7 +441,7 @@ class SubproblemAggregator:
         for dim in self.pairing.leftover_attractive:
             streams.append(
                 _ColumnStream(
-                    NearestFirstExplorer(self._columns[dim], query.point[dim]),
+                    NearestFirstExplorer(columns[dim], query.point[dim]),
                     weight=beta_of[dim],
                     attractive=True,
                 )
@@ -472,8 +492,8 @@ class SubproblemAggregator:
     def query_fast(self, query: SDQuery) -> TopKResult:
         """Answer one SD-Query through the flattened-array fast path.
 
-        Runs the vectorized filter-and-verify kernels over the (lazily built,
-        incrementally maintained) serving session.  Scores are bit-identical to
+        Runs the vectorized filter-and-verify kernels over the incrementally
+        maintained serving session.  Scores are bit-identical to
         :meth:`query`; an exact tie at the k-th boundary resolves by row id
         instead of traversal order.
         """
@@ -481,17 +501,16 @@ class SubproblemAggregator:
 
     # ------------------------------------------------------------- batch querying
     def serving_session(self):
-        """The cached query session backing ``query_fast`` and ``batch_query``.
+        """The query session backing ``query_fast`` and ``batch_query``.
 
-        Built on first use and then kept valid across updates by its LSM
-        write path (delta appends, level tombstones, flushes and merges).
+        Built with the aggregator (or restored with it by a load) and kept
+        valid across updates by its LSM write path (delta appends, level
+        tombstones, flushes and merges); no pair tree is involved.
         """
-        self._check_closed()
-        if self._serving_session is None:
-            with self._write_lock:
-                if self._serving_session is None:
-                    self._serving_session = self.session(cached=False)
-        return self._serving_session
+        session = self._serving_session
+        if session is None:
+            raise RuntimeError("aggregator is closed")
+        return session
 
     def snapshot(self):
         """Pin the serving session's current epoch: an immutable read view.
@@ -504,9 +523,10 @@ class SubproblemAggregator:
     def session(self, seed_pool: Optional[int] = None, cached: bool = True):
         """A shared-traversal batch query session over the current point set.
 
-        The session snapshots the live points and flattens every 2D projection
-        tree once; it stays valid across updates because the aggregator pushes
-        every update into it (see :class:`repro.core.lsm.LsmSession`).  By default
+        The session snapshots the live points (:meth:`live_population`) and
+        flattens a fresh 2D projection tree per pair over them; it stays valid
+        across updates because the aggregator pushes every update into it (see
+        :class:`repro.core.lsm.LsmSession`).  By default
         this returns the shared serving session; pass ``cached=False`` (or a
         custom ``seed_pool``) for a private one.
         """
@@ -539,7 +559,7 @@ class SubproblemAggregator:
         ``("flush",)`` or ``("compact", seqs)``, the shape
         :class:`~repro.core.persistence.DurableIndex` journals as WAL records
         so ``recover()`` can replay the exact level layout.  No-op (empty
-        list) before the serving session exists or when nothing is due.
+        list) once closed or when nothing is due.
         """
         session = self._serving_session
         if session is None:
@@ -580,19 +600,25 @@ class SubproblemAggregator:
 
     # ------------------------------------------------------------------ stats
     def stats(self):
-        """Aggregate statistics over all subproblem structures (an ``IndexStats``)."""
+        """Aggregate statistics over all subproblem structures (an ``IndexStats``).
+
+        Describes the paper's structures — the per-pair projection trees and
+        the sorted columns — so it builds them first if no legacy query has.
+        """
         from repro.core.results import IndexStats
 
         total_memory = 0
         total_nodes = 0
         build_seconds = 0.0
-        for index in self._pair_indexes:
-            stats = index.stats()
-            total_memory += stats.memory_bytes
-            total_nodes += stats.num_nodes
-            build_seconds += stats.build_seconds or 0.0
-        for column in self._columns.values():
-            total_memory += column.memory_bytes()
+        with self._write_lock:
+            pair_indexes, columns = self._legacy_structures()
+            for index in pair_indexes:
+                stats = index.stats()
+                total_memory += stats.memory_bytes
+                total_nodes += stats.num_nodes
+                build_seconds += stats.build_seconds or 0.0
+            for column in columns.values():
+                total_memory += column.memory_bytes()
         return IndexStats(
             name="sd-index",
             num_points=len(self),
@@ -618,8 +644,8 @@ class SubproblemAggregator:
 
         Idempotent.  Engines restored with ``load(..., mmap=True)`` keep the
         snapshot's ``.npy`` files mapped; close drops every internal reference
-        to the mapped arrays (serving state, lazy pair builders, sorted
-        columns) and then releases the maps through the attached
+        to the mapped arrays (serving state, pair trees, sorted columns) and
+        then releases the maps through the attached
         :class:`~repro.core.persistence.MmapGuard`, so worker recycling and
         snapshot-directory pruning never race an open file handle.  A pending
         reflatten is materialized first: the rebuild copies the mapped data
@@ -652,8 +678,8 @@ class SubproblemAggregator:
                     live.epochs.publish(None)
             self._sessions = []
             self._serving_session = None
-            self._pair_indexes = []
-            self._columns = {}
+            self._pair_indexes = None
+            self._columns = None
             self._base_matrix = np.empty((0, self._num_dims), dtype=float)
             self._base_rows = {}
             self._extra_points = {}

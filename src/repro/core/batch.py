@@ -76,6 +76,7 @@ from repro.core.angles import refine_angles
 from repro.core.deadline import Deadline
 from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
+from repro.core.projection_tree import ProjectionTree
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, Match, TopKResult
 
@@ -1039,8 +1040,9 @@ class SessionState:
 class QuerySession:
     """Shared-traversal batch execution over one :class:`SubproblemAggregator`.
 
-    A session snapshots the aggregator's live point set and flattens every 2D
-    projection tree once; any number of batches (or single queries, via
+    A session snapshots the aggregator's live point set and builds and
+    flattens one 2D projection tree per dimension pair over it
+    (:meth:`_state_from_rows`); any number of batches (or single queries, via
     :meth:`run_one`) can then be answered against the shared state with
     :meth:`run`.
 
@@ -1100,83 +1102,60 @@ class QuerySession:
         """(Re)build and publish the execution state (the subclass's job)."""
         raise NotImplementedError
 
-    def _flatten_state(self) -> SessionState:
-        """Flatten the aggregator's live structures into one execution state.
+    def _state_from_rows(self, rows: np.ndarray, matrix: np.ndarray) -> SessionState:
+        """Build a frozen execution state over exactly ``rows``/``matrix``.
 
-        The LSM session (:mod:`repro.core.lsm`) wraps it as the single
-        immutable level of a freshly (re)built world.
+        The one builder of an execution state: session (re)builds, flushes
+        and merges all come here.  One projection tree per pair is built
+        fresh from the given coordinates, flattened and dropped, and the
+        sorted columns are sorted from them — never read from the
+        aggregator's mutable structures — so a compactor may call this
+        without any lock held.
         """
         aggregator = self._aggregator
-        if aggregator._columns_dirty:
-            aggregator._refresh_columns()
-        self._generation = aggregator.mutations
-
-        deleted = aggregator._deleted
-        extras = aggregator._extra_points
-        if not deleted and not extras:
-            rows = np.fromiter(
-                aggregator._base_rows.keys(), dtype=np.int64, count=len(aggregator._base_rows)
-            )
-            matrix = aggregator._base_matrix
-        else:
-            base_rows = [row for row in aggregator._base_rows if row not in deleted]
-            extra_rows = [row for row in extras if row not in deleted]
-            rows = np.asarray(base_rows + extra_rows, dtype=np.int64)
-            parts = []
-            if base_rows:
-                parts.append(
-                    aggregator._base_matrix[
-                        [aggregator._base_rows[row] for row in base_rows]
-                    ]
-                )
-            if extra_rows:
-                parts.append(np.asarray([extras[row] for row in extra_rows], dtype=float))
-            matrix = (
-                np.vstack(parts)
-                if parts
-                else np.empty((0, aggregator._num_dims), dtype=float)
-            )
-
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        matrix = np.ascontiguousarray(matrix, dtype=float)
         # kind="stable" so equal keys can never reorder across platforms —
         # the bit-identical differential-fuzz guarantees depend on it.
         order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
         scored_dims = set(aggregator.repulsive) | set(aggregator.attractive)
-        columns_by_dim = {
-            dim: np.ascontiguousarray(matrix[:, dim]) for dim in scored_dims
-        }
-
         state = SessionState(
             rows=rows,
             matrix=matrix,
             live=np.ones(len(rows), dtype=bool),
             num_live=len(rows),
             row_order=order,
-            sorted_rows=sorted_rows,
-            columns_by_dim=columns_by_dim,
+            sorted_rows=rows[order],
+            columns_by_dim={
+                dim: np.ascontiguousarray(matrix[:, dim]) for dim in scored_dims
+            },
             pairs=[],
             pair_leaf_of_position=[],
             col_values={},
             col_positions={},
         )
-
-        for index, (rep_dim, att_dim) in zip(
-            aggregator._pair_indexes, aggregator.pairing.pairs
-        ):
-            flat = _FlatTree(index.tree)
+        row_list = rows.tolist()
+        for rep_dim, att_dim in aggregator.pairing.pairs:
+            tree = ProjectionTree(
+                matrix[:, att_dim],
+                matrix[:, rep_dim],
+                angles=tuple(aggregator.angle_grid),
+                branching=aggregator.branching,
+                leaf_capacity=aggregator.leaf_capacity,
+                row_ids=row_list,
+            )
+            flat = _FlatTree(tree)
             positions = state.positions_of(flat.rows)
             state.pairs.append((rep_dim, att_dim, flat))
             # Inverse map: which leaf of this tree holds each snapshot position.
             leaf_of_position = np.empty(len(rows), dtype=np.int64)
             leaf_of_position[positions] = flat.leaf_of_pos
             state.pair_leaf_of_position.append(leaf_of_position)
-
-        # Session-owned sorted-column state (values stay aligned with the
-        # snapshot positions).
         for dim in aggregator._column_dims:
-            column = aggregator._columns[dim]
-            state.col_values[dim] = np.array(column.values)
-            state.col_positions[dim] = state.positions_of(np.asarray(column.row_ids))
+            values = np.ascontiguousarray(matrix[:, dim])
+            value_order = np.argsort(values, kind="stable")
+            state.col_values[dim] = values[value_order]
+            state.col_positions[dim] = value_order.astype(np.int64)
         return state
 
     # -------------------------------------------------------------- maintenance

@@ -43,13 +43,11 @@ from repro.core.batch import (
     BatchQuerySpec,
     QuerySession,
     SessionState,
-    _FlatTree,
     _prune_bound,
     select_topk,
 )
 from repro.core.deadline import Deadline
 from repro.core.results import BatchResult, Match, TopKResult
-from repro.core.topk import TopKIndex
 
 __all__ = ["DeltaState", "Level", "LsmWorld", "LsmSession"]
 
@@ -352,75 +350,17 @@ class LsmSession(QuerySession):
 
     def _build(self) -> None:
         """(Re)build as a single-level world over the aggregator's live rows."""
-        state = self._flatten_state()
-        scored = set(self._aggregator.repulsive) | set(self._aggregator.attractive)
+        aggregator = self._aggregator
+        self._generation = aggregator.mutations
+        state = self._state_from_rows(*aggregator.live_population())
+        scored = set(aggregator.repulsive) | set(aggregator.attractive)
         world = LsmWorld(
             levels=(Level(self._claim_seq(), state),),
-            delta=DeltaState.empty(self._aggregator._num_dims, scored),
+            delta=DeltaState.empty(aggregator._num_dims, scored),
         )
         self.epochs.publish(world)
 
-    def _state_from_rows(self, rows: np.ndarray, matrix: np.ndarray) -> SessionState:
-        """Build a frozen execution state over exactly ``rows``/``matrix``.
-
-        The projection trees and sorted columns are built fresh from the given
-        coordinates — never from the aggregator's mutable structures — so a
-        compactor may call this without any lock held.
-        """
-        aggregator = self._aggregator
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        order = np.argsort(rows, kind="stable")
-        scored_dims = set(aggregator.repulsive) | set(aggregator.attractive)
-        state = SessionState(
-            rows=rows,
-            matrix=matrix,
-            live=np.ones(len(rows), dtype=bool),
-            num_live=len(rows),
-            row_order=order,
-            sorted_rows=rows[order],
-            columns_by_dim={
-                dim: np.ascontiguousarray(matrix[:, dim]) for dim in scored_dims
-            },
-            pairs=[],
-            pair_leaf_of_position=[],
-            col_values={},
-            col_positions={},
-        )
-        row_list = [int(r) for r in rows]
-        for rep_dim, att_dim in aggregator.pairing.pairs:
-            index = TopKIndex(
-                x=matrix[:, att_dim],
-                y=matrix[:, rep_dim],
-                angle_grid=aggregator.angle_grid,
-                branching=aggregator.branching,
-                leaf_capacity=aggregator.leaf_capacity,
-                row_ids=row_list,
-            )
-            flat = _FlatTree(index.tree)
-            positions = state.positions_of(flat.rows)
-            state.pairs.append((rep_dim, att_dim, flat))
-            leaf_of_position = np.empty(len(rows), dtype=np.int64)
-            leaf_of_position[positions] = flat.leaf_of_pos
-            state.pair_leaf_of_position.append(leaf_of_position)
-        for dim in aggregator._column_dims:
-            values = np.ascontiguousarray(matrix[:, dim])
-            value_order = np.argsort(values, kind="stable")
-            state.col_values[dim] = values[value_order]
-            state.col_positions[dim] = value_order.astype(np.int64)
-        return state
-
     # ------------------------------------------------------------ write path
-    def apply_insert(self, row_id: int, vector: np.ndarray) -> None:
-        """Absorb one inserted point (called by the aggregator)."""
-        self.apply_bulk_insert(
-            np.asarray([row_id], dtype=np.int64), np.asarray(vector, dtype=float)[None, :]
-        )
-
-    def apply_delete(self, row_id: int) -> None:
-        """Delete one row (called by the aggregator)."""
-        self.apply_bulk_delete(np.asarray([row_id], dtype=np.int64))
-
     def apply_bulk_insert(self, row_ids, matrix) -> None:
         """Absorb inserted rows into the delta (O(delta), no tree surgery)."""
         self._generation = self._aggregator.mutations

@@ -16,9 +16,9 @@ PAPERS.md):
   JSON manifest carrying a format version and per-file checksums.
   :func:`load_engine` restores the engine; ``mmap=True`` memory-maps every
   array for a near-instant warm start (the expensive projection trees are
-  rebuilt *lazily*, only when a reflatten, a legacy query or an update first
-  needs them — the vectorized serving path runs straight off the restored
-  arrays).
+  not rebuilt: the vectorized serving path, updates, WAL replay, flushes and
+  merges run straight off the restored arrays, and only a legacy query or
+  ``stats()`` builds the trees).
 * **Write-ahead log.**  :class:`WriteAheadLog` journals ``insert`` /
   ``delete`` / ``bulk_insert`` / ``bulk_delete`` / ``rebalance`` records,
   length-prefixed and CRC-checksummed, with an fsync-on-commit policy knob.
@@ -70,7 +70,6 @@ from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex, ShardRouter, _ShardTopology
 from repro.core.top1 import Top1Index, _RunningTopKRegions
 from repro.core.topk import TopKIndex
-from repro.substrates.sorted_column import SortedColumn
 
 __all__ = [
     "FORMAT_VERSION",
@@ -201,13 +200,13 @@ def _grid_from_payload(payload: Sequence[Sequence[float]]) -> AngleGrid:
 class Deferred:
     """A lazily built stand-in that materializes the real object on first use.
 
-    ``load(..., mmap=True)`` owes its near-instant warm start to never
-    rebuilding the projection trees: the vectorized serving path runs off the
-    restored flat arrays alone.  The trees are still *owed* — a reflatten, a
-    legacy query or the first update needs them — so the restored engines hold
-    one of these per tree, carrying a builder closure over the checkpointed
-    live rows.  Attribute access materializes exactly once (under a lock) and
-    then forwards forever.
+    A restored :class:`~repro.core.topk.TopKIndex` serves from its restored
+    flat view alone, but its projection tree is still *owed*: the first
+    update, reflatten or streams query needs it.  The restored index holds
+    one of these as its tree, carrying a builder closure over the
+    checkpointed live rows.  Attribute access materializes exactly once
+    (under a lock) and then forwards forever.  (Aggregators need no proxy:
+    their pair trees are built on first use by the aggregator itself.)
     """
 
     def __init__(self, builder: Callable[[], Any], spec: Optional[Dict[str, Any]] = None) -> None:
@@ -958,9 +957,10 @@ def _capture_lsm_arrays(
     """Arrays of one pinned :class:`LsmWorld` (levels verbatim, delta verbatim).
 
     The top-level ``rows``/``matrix`` are the world's *live* rows concatenated
-    in level order — the aggregator's row bookkeeping, sorted-column seeds and
-    deferred tree builders all restore from that flat view, exactly as they do
-    from a pre-LSM single-state snapshot whose rows happen to be all live.
+    in level order — the aggregator's row bookkeeping restores from that flat
+    view, exactly as it does from a pre-LSM single-state snapshot whose rows
+    happen to be all live.  The top-level sorted columns belong to the format
+    too; restore does not read them.
     """
     live_rows = world.live_row_ids()
     live_matrix = world.live_matrix() if world.num_live else np.empty(
@@ -1040,12 +1040,13 @@ def _restore_aggregator(
     """Rebuild an aggregator plus its serving session from checkpoint arrays.
 
     The serving session's world is restored verbatim (every kernel input
-    byte-for-byte as checkpointed) and published as the session's first epoch;
-    the projection trees and sorted-column refreshes are deferred behind
-    :class:`Deferred` builders over the checkpointed live rows, so a loaded
-    engine serves immediately and only pays the tree build when maintenance
-    first needs it.  Payload keys of retired engine modes (``concurrency``,
-    ``compaction``) are ignored.
+    byte-for-byte as checkpointed) and published as the session's first epoch.
+    The aggregator's pair trees and sorted columns stay unbuilt, as on a
+    freshly built engine: updates, WAL replay, flushes and merges never need
+    them, and the first legacy query or ``stats()`` builds them from the live
+    rows, so the checkpointed top-level sorted-column arrays are not read.
+    Payload keys of retired engine modes (``concurrency``, ``compaction``) are
+    ignored.
     """
     agg = SubproblemAggregator.__new__(SubproblemAggregator)
     agg._lsm_options = dict(payload.get("lsm_options", {"background": True}))
@@ -1065,13 +1066,12 @@ def _restore_aggregator(
 
     rows = arrays["rows"]
     matrix = arrays["matrix"]
-    live = arrays["live"]
     deleted_ids = arrays["deleted"]
     # Row bookkeeping: every checkpointed row (live or tombstoned) maps to its
     # matrix position; deleted ids whose physical rows were compacted away by
     # an earlier reflatten keep a sentinel entry so ``__len__`` and the
     # id-reuse guard stay exact (their positions are never dereferenced —
-    # ``point`` and ``_build`` filter on ``_deleted`` first).
+    # ``point`` and ``live_population`` filter on ``_deleted`` first).
     base = {int(row): i for i, row in enumerate(rows)}
     for row in deleted_ids:
         base.setdefault(int(row), -1)
@@ -1085,38 +1085,10 @@ def _restore_aggregator(
     agg._column_dims = list(agg.pairing.leftover_repulsive) + list(
         agg.pairing.leftover_attractive
     )
-    agg._columns = {}
-    for dim in agg._column_dims:
-        # The checkpointed column is already in sorted order; bypass the
-        # constructor's argsort.  Tombstoned rows may linger — the
-        # legacy streams skip rows in ``_deleted``.
-        column = SortedColumn.__new__(SortedColumn)
-        column._values = np.asarray(arrays[f"col{dim}_values"])
-        column._rows = np.asarray(rows[arrays[f"col{dim}_positions"]])
-        agg._columns[dim] = column
-    # Columns holding tombstoned rows must be flagged dirty: a session rebuild
-    # maps ``column.row_ids`` to live positions, and a dead id there would
-    # resolve to a wrong position (or out of range) and corrupt the rebuilt
-    # sorted-column state.  The refresh on first use drops the dead rows.
-    agg._columns_dirty = bool(agg._column_dims) and not bool(np.all(live))
-
-    def make_pair_builder(rep_dim: int, att_dim: int) -> Callable[[], TopKIndex]:
-        def build() -> TopKIndex:
-            keep = np.asarray(live, dtype=bool)
-            return TopKIndex(
-                x=np.asarray(matrix[:, att_dim])[keep],
-                y=np.asarray(matrix[:, rep_dim])[keep],
-                angle_grid=agg.angle_grid,
-                branching=agg.branching,
-                leaf_capacity=agg.leaf_capacity,
-                row_ids=[int(r) for r in rows[keep]],
-            )
-
-        return build
-
-    agg._pair_indexes = [
-        Deferred(make_pair_builder(rep, att)) for rep, att in agg.pairing.pairs
-    ]
+    # The legacy structures are built from the live rows by the first legacy
+    # query or stats(), exactly as on a freshly built engine.
+    agg._pair_indexes = None
+    agg._columns = None
     agg._sessions = []
     agg._serving_session = None
     agg._closed = False

@@ -42,9 +42,11 @@ class SDIndex:
     *query session* — the projection trees flattened into leaf-aligned numpy
     arrays (see :class:`repro.core.batch.QuerySession` and DESIGN.md):
 
-    * The session is built lazily on the first :meth:`query` /
-      :meth:`batch_query` call and then reused; :meth:`query_session` returns
-      it for direct batch use.
+    * The session is built with the index and then reused;
+      :meth:`query_session` returns it for direct batch use.  The legacy
+      engine's per-pair projection trees are not: the first
+      ``query(..., engine="legacy")`` or :meth:`stats` call builds them, and
+      only from then on do updates patch them.
     * :meth:`insert`, :meth:`delete`, :meth:`bulk_insert` and
       :meth:`bulk_delete` do **not** invalidate it: it is an LSM session
       (:class:`repro.core.lsm.LsmSession`) — inserts append to a small
@@ -256,7 +258,7 @@ class SDIndex:
         return self._aggregator.session(seed_pool=seed_pool)
 
     def refresh_session(self) -> None:
-        """Force the cached session to rebuild from the index structures now."""
+        """Force the cached session to rebuild from the live rows now."""
         session = self._aggregator._serving_session
         if session is not None:
             session.reflatten()
@@ -318,9 +320,9 @@ class SDIndex:
         """Load a snapshot written by :meth:`save`.
 
         ``mmap=True`` memory-maps the arrays for a near-instant warm start
-        (the projection trees are rebuilt lazily, only when maintenance first
-        needs them); updates after an mmap load go to the delta and to
-        copied validity masks, never the mapped file.  Raises
+        (no projection tree is rebuilt: only a legacy query or :meth:`stats`
+        builds the pair trees); updates after an mmap load go to the delta
+        and to copied validity masks, never the mapped file.  Raises
         :class:`repro.core.persistence.SnapshotFormatError` on an unknown
         format version or a failed checksum.
         """

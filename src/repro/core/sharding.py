@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import faults
-from repro.core.aggregate import SubproblemAggregator, claim_row_id
+from repro.core.aggregate import SubproblemAggregator, claim_row_ids
 from repro.core.batch import BatchQuerySpec, SessionSnapshot, _prune_bound
 from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.core.epoch import EpochManager
@@ -404,15 +404,18 @@ class ShardedIndex:
         return self._shards[index]
 
     # ------------------------------------------------------------------ updates
-    def _claim_row_id(self, row_id: Optional[int]) -> int:
-        row_id = claim_row_id(
-            row_id,
+    def _claim_row_ids(self, row_ids: Optional[Sequence[int]], count: int) -> List[int]:
+        """Validate every id first, then advance the high-water mark once."""
+        ids = claim_row_ids(
+            row_ids,
+            count,
             self._max_row_id,
             self._deleted.__contains__,
             self.router._shard_of.__contains__,
         )
-        self._max_row_id = max(self._max_row_id, row_id)
-        return row_id
+        if ids:
+            self._max_row_id = max(self._max_row_id, max(ids))
+        return ids
 
     def insert(self, point: Sequence[float], row_id: Optional[int] = None) -> int:
         """Insert a point; the router picks its shard.  Returns the row id."""
@@ -420,7 +423,7 @@ class ShardedIndex:
         if vector.shape != (self.num_dims,):
             raise ValueError(f"point must have {self.num_dims} dimensions")
         with self._write_lock:
-            row_id = self._claim_row_id(row_id)
+            row_id = self._claim_row_ids(None if row_id is None else [row_id], 1)[0]
             shard = int(
                 self.router.assign(
                     np.asarray([row_id], dtype=np.int64), vector[None, :]
@@ -441,15 +444,7 @@ class ShardedIndex:
                 f"points must have shape (m, {self.num_dims}), got {matrix.shape}"
             )
         with self._write_lock:
-            if row_ids is None:
-                ids = [self._claim_row_id(None) for _ in range(len(matrix))]
-            else:
-                ids = [int(r) for r in row_ids]
-                if len(ids) != len(matrix):
-                    raise ValueError("row_ids must align with the points")
-                if len(set(ids)) != len(ids):
-                    raise ValueError("row ids must be unique")
-                ids = [self._claim_row_id(r) for r in ids]
+            ids = self._claim_row_ids(row_ids, len(matrix))
             if not ids:
                 return []
             id_array = np.asarray(ids, dtype=np.int64)
@@ -505,16 +500,11 @@ class ShardedIndex:
         """
         with self._write_lock:
             old_router = self.router
-            rows: List[int] = []
-            for shard in self._shards:
-                rows.extend(shard._live_rows())
-            rows.sort()
-            row_array = np.asarray(rows, dtype=np.int64)
-            matrix = (
-                np.asarray([self.point(row) for row in rows], dtype=float)
-                if rows
-                else np.empty((0, self.num_dims), dtype=float)
-            )
+            populations = [shard.live_population() for shard in self._shards]
+            row_array = np.concatenate([rows for rows, _ in populations])
+            order = np.argsort(row_array, kind="stable")
+            row_array = row_array[order]
+            matrix = np.vstack([points for _, points in populations])[order]
             before = old_router.assignments()
             router = ShardRouter(
                 old_router.num_shards,

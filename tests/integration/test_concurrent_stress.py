@@ -14,6 +14,7 @@ same PR, plus the fully-emptied-session regressions.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -184,6 +185,98 @@ def test_flat_storm_every_read_matches_its_pinned_epoch():
     report = index.query_session().epochs.leak_report()
     assert report["pinned_readers"] == 0
     assert report["live_epochs"] == 1
+
+
+@pytest.mark.stress
+def test_legacy_queries_racing_a_writer_build_exact_pair_trees():
+    """The first legacy query builds the pair trees while a writer runs: each
+    write lands either in the live rows the build reads or as a patch on the
+    built trees.  Every legacy answer matches a scan over the population it
+    ran against, and afterwards each tree holds exactly the live rows."""
+    rng = np.random.default_rng(61)
+    data = rng.random((400, NUM_DIMS))
+    index = SDIndex.build(data, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+    aggregator = index.aggregator
+    store = dict(enumerate(data))  # the writer's own record of the live rows
+    errors = []
+    answered = [0, 0]
+    writer_done = threading.Event()
+    start = threading.Barrier(3)
+
+    def writer():
+        try:
+            wrng = np.random.default_rng(62)
+            owned = list(range(400))
+            start.wait(timeout=JOIN_TIMEOUT)
+            for step in range(600):
+                if step % 3 == 0:
+                    victim = owned.pop(int(wrng.integers(len(owned))))
+                    index.delete(victim)
+                    del store[victim]
+                else:
+                    block = wrng.random((3 if step % 7 == 0 else 1, NUM_DIMS))
+                    rows = index.bulk_insert(block)
+                    owned.extend(rows)
+                    store.update(zip(rows, block))
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+        finally:
+            writer_done.set()
+
+    def reader(rid: int):
+        try:
+            qrng = np.random.default_rng(63 + rid)
+            start.wait(timeout=JOIN_TIMEOUT)
+            while not writer_done.is_set():
+                point = qrng.random(NUM_DIMS)
+                if rid == 0:
+                    # Plain legacy queries: the aggregator's own locking
+                    # must order the tree build against the writer.
+                    index.query(point, k=5, engine="legacy")
+                    answered[rid] += 1
+                    continue
+                # Checked legacy queries: pin the population the answer ran
+                # against by holding the (reentrant) write lock around both.
+                with aggregator.write_lock:
+                    got = index.query(point, k=5, engine="legacy")
+                    rows, matrix = aggregator.live_population()
+                scan = SequentialScan(matrix, REPULSIVE, ATTRACTIVE, row_ids=rows.tolist())
+                expected = scan.batch_query(point[None, :], k=5).results[0]
+                assert [m.score for m in got.matches] == [m.score for m in expected.matches]
+                answered[rid] += 1
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    # Three threads: more than a 2-core host has cores.
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader, args=(rid,)) for rid in range(2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=JOIN_TIMEOUT)
+            assert not thread.is_alive()
+    finally:
+        writer_done.set()
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert all(answered)
+    rows = sorted(store)
+    matrix = np.asarray([store[row] for row in rows])
+    for tree_index, (rep, att) in zip(aggregator._pair_indexes, aggregator.pairing.pairs):
+        assert sorted(tree_index.tree.iter_points()) == [
+            (row, float(store[row][att]), float(store[row][rep])) for row in rows
+        ]
+    scan = SequentialScan(matrix, REPULSIVE, ATTRACTIVE, row_ids=rows)
+    points = rng.random((8, NUM_DIMS))
+    expected = scan.batch_query(points, k=6)
+    for point, want in zip(points, expected.results):
+        got = index.query(point, k=6, engine="legacy")
+        assert [m.score for m in got.matches] == [m.score for m in want.matches]
+    index.close()
 
 
 class TestExecutorLifecycle:

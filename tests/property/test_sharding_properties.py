@@ -39,7 +39,10 @@ def _build(seed: int, num_rows: int, num_shards: int, partitioner: str) -> Shard
 
 
 def _live_rows_per_shard(engine: ShardedIndex):
-    return [set(engine.shard(s)._live_rows()) for s in range(engine.num_shards)]
+    return [
+        set(engine.shard(s).live_population()[0].tolist())
+        for s in range(engine.num_shards)
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,7 +98,7 @@ def test_tombstones_never_leak_across_shards(seed, num_shards, partitioner):
             f"{deleted_per_shard[s]} of the deleted ones"
         )
         # The deleted rows must be gone from the owner and never present elsewhere.
-        live = set(engine.shard(s)._live_rows())
+        live = set(engine.shard(s).live_population()[0].tolist())
         assert live.isdisjoint(victims)
 
 

@@ -122,6 +122,26 @@ class TestSessionRouting:
         assert session.structure()["delta_live"] == 5
         assert session.structure() == session_of(index).structure()
 
+    def test_build_returns_with_the_serving_session_built(self):
+        """Construction builds the serving session, so the first read after
+        a build (or the first request to a freshly built shard) never pays
+        for it; the legacy pair trees stay unbuilt."""
+        data = np.random.default_rng(9).random((60, NUM_DIMS))
+        index = SDIndex.build(data, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+        engine = SDIndex.build_sharded(
+            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=3
+        )
+        try:
+            aggregators = [index.aggregator] + [engine.shard(s) for s in range(3)]
+            for aggregator in aggregators:
+                session = aggregator._serving_session
+                assert isinstance(session, LsmSession)
+                assert session.structure()["levels"][0]["live"] == len(aggregator)
+                assert aggregator._pair_indexes is None
+        finally:
+            engine.close()
+            index.close()
+
     def test_shard_sessions_are_lsm_with_forwarded_options(self):
         from repro.core.sharding import ShardedIndex
 

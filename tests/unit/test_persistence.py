@@ -31,6 +31,7 @@ from repro.core.persistence import (
     load_engine,
     save_engine,
 )
+from repro.core.query import SDQuery
 from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.top1 import Top1Index
@@ -427,18 +428,68 @@ def test_leftover_dim_reflatten_after_load(tmp_path):
             ]
 
 
+def assert_pair_trees_hold(aggregator, store):
+    """Every built pair tree holds exactly the rows of ``store``."""
+    for index, (rep, att) in zip(aggregator._pair_indexes, aggregator.pairing.pairs):
+        assert sorted(index.tree.iter_points()) == sorted(
+            (row, float(point[att]), float(point[rep])) for row, point in store.items()
+        )
+
+
+def legacy_matches_scan(index, store, queries, k):
+    """Legacy answers score exactly like a scan over ``store``."""
+    rows = sorted(store)
+    scan = SequentialScan(
+        np.asarray([store[row] for row in rows]), REPULSIVE, ATTRACTIVE, row_ids=rows
+    )
+    for j, point in enumerate(queries):
+        query = SDQuery.simple(
+            point, REPULSIVE, ATTRACTIVE, k=k, alpha=[1.0, 0.5 + j], beta=[0.3, 1.2]
+        )
+        got = index.query(query, engine="legacy")
+        assert [m.score for m in got.matches] == [m.score for m in scan.query(query).matches]
+
+
 def test_deferred_trees_stay_lazy_until_needed(dataset, queries, tmp_path):
-    index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
-    index.save(tmp_path / "snap")
-    loaded = SDIndex.load(tmp_path / "snap", mmap=True)
-    loaded.batch_query(queries, k=5)
-    loaded.query(queries[0], k=3)
-    deferred = loaded.aggregator._pair_indexes
-    assert not any(proxy.materialized for proxy in deferred)
-    # The first structural need (here: an update patches every pair tree)
-    # materializes the real projection trees from the checkpointed rows.
-    loaded.insert(np.full(4, 0.25))
-    assert all(proxy.materialized for proxy in deferred)
+    """The legacy pair trees are built by the first legacy query, not by
+    writes, flushes or merges, on a built engine and on a loaded one (mapped
+    or not); once built, every write keeps them current."""
+    built = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+    built.delete(11)  # loads then carry a deleted id with no physical row
+    built.save(tmp_path / "snap")
+    engines = [
+        built,
+        SDIndex.load(tmp_path / "snap"),
+        SDIndex.load(tmp_path / "snap", mmap=True),
+    ]
+    for index in engines:
+        rng = np.random.default_rng(47)
+        store = dict(enumerate(dataset))
+        del store[11]
+        aggregator = index.aggregator
+        index.batch_query(queries, k=5)
+        index.query(queries[0], k=3)
+        block = rng.random((300, 4))
+        rows = index.bulk_insert(block)
+        store.update(zip(rows, block))
+        store[index.insert(np.full(4, 0.25))] = np.full(4, 0.25)
+        index.delete(rows[0])
+        index.bulk_delete([3, 4, rows[1]])
+        for row in (rows[0], 3, 4, rows[1]):
+            del store[row]
+        index.flush()
+        index.compact()
+        assert aggregator._pair_indexes is None
+        legacy_matches_scan(index, store, queries, k=5)
+        assert len(aggregator._pair_indexes) == len(aggregator.pairing.pairs)
+        assert_pair_trees_hold(aggregator, store)
+        store[index.insert(np.full(4, 0.75))] = np.full(4, 0.75)
+        index.bulk_delete([rows[2], 7])
+        del store[rows[2]], store[7]
+        index.flush()
+        assert_pair_trees_hold(aggregator, store)
+        legacy_matches_scan(index, store, queries, k=7)
+        index.close()
 
 
 @pytest.mark.parametrize("partitioner", ["hash", "range"])
@@ -596,6 +647,40 @@ class TestDurableIndex:
         second = DurableIndex.recover(tmp_path / "dur", mmap=True)
         same_answers(expected2, second.batch_query(queries, k=5))
         second.close()
+
+    def test_recover_replays_without_building_pair_trees(self, dataset, queries, tmp_path):
+        """WAL replay touches only the LSM session: recovering a tail of
+        inserts, deletes, flushes and a merge builds no legacy pair tree and
+        restores the same levels, answering bit-identically."""
+        rng = np.random.default_rng(53)
+        index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+        durable = DurableIndex.create(index, tmp_path / "dur")
+        durable.bulk_insert(rng.random((40, 4)))
+        durable.checkpoint()
+        checkpoint_lsn = durable.end_lsn
+        rows = [durable.insert(rng.random(4)) for _ in range(30)]
+        durable.delete(rows[0])
+        durable.bulk_delete([5, 6, rows[1]])
+        assert durable.flush()
+        durable.bulk_insert(rng.random((20, 4)))
+        durable.delete(rows[2])
+        assert durable.flush()
+        assert durable.compact() is not None
+        durable.insert(rng.random(4))
+        replayed = durable.end_lsn - checkpoint_lsn
+        structure = index.query_session().structure()
+        expected = durable.batch_query(queries, k=6)
+        live_rows, live_matrix = index.aggregator.live_population()
+        oracle = oracle_for(dict(zip(live_rows.tolist(), live_matrix)), queries, k=6)
+        durable.close()
+        for mmap in (False, True):
+            recovered = DurableIndex.recover(tmp_path / "dur", mmap=mmap)
+            assert recovered.last_recovery["replayed"] == replayed
+            assert recovered.engine.aggregator._pair_indexes is None
+            assert recovered.engine.query_session().structure() == structure
+            same_answers(expected, recovered.batch_query(queries, k=6))
+            same_answers(oracle, recovered.batch_query(queries, k=6))
+            recovered.close()
 
     def test_checkpoint_rotates_wal_and_prunes(self, dataset, tmp_path):
         index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)

@@ -140,6 +140,22 @@ class TestSDIndexUpdates:
         query = SDQuery.simple(rng.random(3), [0, 1], [2], k=4)
         assert_same_scores(index.query(query), oracle_topk(live, query))
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+    def test_rejected_bulk_insert_claims_no_row_id(self, rng, sharded):
+        """A bulk insert rejected on one id inserts nothing and leaves the
+        auto-assign high-water mark where it was."""
+        build = SDIndex.build_sharded if sharded else SDIndex.build
+        index = build(rng.random((101, 4)), repulsive=[0, 1], attractive=[2, 3])
+        index.delete(3)
+        with pytest.raises(ValueError, match="already present"):
+            index.bulk_insert(rng.random((2, 4)), row_ids=[5000, 7])
+        with pytest.raises(ValueError, match="was deleted"):
+            index.bulk_insert(rng.random((2, 4)), row_ids=[6000, 3])
+        assert len(index) == 100
+        assert index.insert(rng.random(4)) == 101
+        assert index.bulk_insert(rng.random((2, 4))) == [102, 103]
+        index.close()
+
 
 class TestAggregatorInternals:
     def test_stats_aggregate_pair_indexes(self, small_4d_dataset):
