@@ -156,9 +156,15 @@ class SubproblemAggregator:
         if len(rows) != len(matrix):
             raise ValueError("row_ids must align with the data matrix")
         self._base_rows = {row: i for i, row in enumerate(rows)}
+        if len(self._base_rows) != len(rows):
+            raise ValueError("row ids must be unique")
         self._base_matrix = matrix
+        #: Vectors of the live inserted rows (a delete drops its entry).
         self._extra_points: Dict[int, np.ndarray] = {}
+        #: Every deleted id, build row or insert: never claimable again.
         self._deleted: set = set()
+        #: How many of the ``_deleted`` ids are build rows (``_base_rows``).
+        self._base_deleted = 0
         #: Largest row id ever present; auto-assigned ids are this plus one
         #: (deleted ids stay unavailable, so the counter never moves back).
         self._max_row_id = max(rows) if rows else -1
@@ -188,7 +194,7 @@ class SubproblemAggregator:
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
-        return len(self._base_rows) + len(self._extra_points) - len(self._deleted)
+        return len(self._base_rows) - self._base_deleted + len(self._extra_points)
 
     @property
     def mutations(self) -> int:
@@ -220,7 +226,10 @@ class SubproblemAggregator:
         return self._base_matrix[self._base_rows[row_id]]
 
     def _is_present(self, row_id: int) -> bool:
-        """True if ``row_id`` was ever stored (live or deleted)."""
+        """True if ``row_id`` is a build row (live or deleted) or a live insert.
+
+        A deleted insert is forgotten here; callers check ``_deleted`` first.
+        """
         return row_id in self._base_rows or row_id in self._extra_points
 
     def live_population(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -391,6 +400,9 @@ class SubproblemAggregator:
             if not ids:
                 return
             self._deleted.update(ids)
+            extras = self._extra_points
+            dropped = sum(extras.pop(row_id, None) is not None for row_id in ids)
+            self._base_deleted += len(ids) - dropped
             self._apply_write(ids)
 
     # ------------------------------------------------------------------ querying

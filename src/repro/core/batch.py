@@ -8,9 +8,11 @@ redundant — queries share the index structures, the angle grid and, for querie
 with similar weight vectors, even the useful part of the tree traversal.  This
 module amortizes it:
 
-* **Shared traversal.**  Each 2D projection tree is flattened once per
-  :class:`QuerySession` into leaf-aligned numpy arrays (live rows, coordinates
-  and the per-angle intercept bounds the tree nodes store).  Queries whose
+* **Shared traversal.**  Each 2D dimension pair is laid out once per
+  execution state as leaf-aligned numpy arrays (live rows, coordinates and
+  per-leaf, per-angle intercept bounds) over the leaves a bulk-loaded
+  projection tree would have, built from the points without the tree
+  (:meth:`_FlatTree.from_sorted`).  Queries whose
   projection angle falls in the same bracket of the angle grid form an *angular
   partition*; the bound resolution onto the bracketing indexed angles (the
   linear interpolation of :class:`repro.core.projection_tree._BoundResolver`)
@@ -76,7 +78,7 @@ from repro.core.angles import refine_angles
 from repro.core.deadline import Deadline
 from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
-from repro.core.projection_tree import ProjectionTree
+from repro.core.projection_tree import bulk_leaf_sizes
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, Match, TopKResult
 
@@ -515,12 +517,15 @@ class BatchQuerySpec:
 
 # ------------------------------------------------------------- tree flattening
 class _FlatTree:
-    """A projection tree flattened into leaf-aligned numpy arrays.
+    """A projection tree's leaf partition as leaf-aligned numpy arrays.
 
-    This is the shared-traversal state: the tree is walked exactly once (in x
-    order) and every batch query afterwards works on the arrays — live rows,
-    coordinates, per-leaf/per-angle intercept bounds and the position-to-leaf
-    map used to expand surviving leaves into candidate positions.
+    This is the shared-traversal state: every batch query works on the
+    arrays — live rows, coordinates, per-leaf/per-angle intercept bounds and
+    the position-to-leaf map used to expand surviving leaves into candidate
+    positions.  ``_FlatTree(tree)`` walks a built tree once in x order (the
+    :class:`~repro.core.topk.TopKIndex` path); :meth:`from_sorted` builds the
+    same arrays from x-sorted points and :func:`bulk_leaf_sizes`, which is
+    how every execution state is built — no tree at all.
 
     The flat view is *maintained*, not disposable: :meth:`append_points` adds
     new rows by assigning them to the covering leaf and loosening that leaf's
@@ -551,14 +556,7 @@ class _FlatTree:
         "_pos_of_row",
     )
 
-    def __init__(self, tree, bound_refine: Optional[int] = None) -> None:
-        # The *bound grid*: the tree's partition grid with every bracket
-        # subdivided.  Stored bounds are recomputed from the points on this
-        # finer grid, decoupling bound resolution from the partition grid —
-        # refinement costs memory, never a tree rebuild (DESIGN.md).
-        self.angles: Tuple[Angle, ...] = refine_angles(
-            tree.angles, _BOUND_GRID_REFINE if bound_refine is None else bound_refine
-        )
+    def __init__(self, tree) -> None:
         leaves = []
         stack = [tree._root] if tree._root is not None else []
         while stack:
@@ -635,7 +633,40 @@ class _FlatTree:
             self.x = np.concatenate(x_parts) if x_parts else np.empty(0, dtype=float)
             self.y = np.concatenate(y_parts) if y_parts else np.empty(0, dtype=float)
 
+        self._index_leaves(tree.angles, sizes)
+
+    @classmethod
+    def from_sorted(
+        cls,
+        angles: Sequence[Angle],
+        rows: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        sizes,
+    ) -> "_FlatTree":
+        """The flat view straight from x-sorted arrays and leaf sizes.
+
+        ``rows``/``x``/``y`` are sorted by x and ``sizes`` partitions them
+        into consecutive leaves — with :func:`bulk_leaf_sizes`, exactly the
+        arrays ``_FlatTree(ProjectionTree(...))`` flattens a fresh bulk load
+        into, without building the tree.  ``angles`` is the partition grid.
+        """
+        flat = cls.__new__(cls)
+        flat.rows = rows
+        flat.x = x
+        flat.y = y
+        flat._index_leaves(angles, sizes)
+        return flat
+
+    def _index_leaves(self, angles: Sequence[Angle], sizes) -> None:
+        """Leaf map, bound grid, per-leaf bounds and validity mask over the
+        leaf-aligned ``rows``/``x``/``y``."""
         sizes = np.asarray(sizes, dtype=np.int64)
+        # The *bound grid*: the partition grid with every bracket subdivided.
+        # Stored bounds are recomputed from the points on this finer grid,
+        # decoupling bound resolution from the partition grid — refinement
+        # costs memory, never a rebuild (DESIGN.md).
+        self.angles: Tuple[Angle, ...] = refine_angles(angles, _BOUND_GRID_REFINE)
         self.num_leaves = len(sizes)
         self.leaf_of_pos = np.repeat(
             np.arange(self.num_leaves, dtype=np.int64), sizes
@@ -968,7 +999,7 @@ class SessionState:
     """One immutable epoch of a :class:`QuerySession`'s execution state.
 
     Everything the vectorized kernels read lives here: the snapshot row ids
-    and coordinate matrix, the validity mask, the per-pair flattened trees
+    and coordinate matrix, the validity mask, the per-pair flat views
     (with their per-leaf bounds), the sorted-column arrays and the
     id->position maps.  A state is never mutated once published: readers
     pin it (inside an LSM level) through the session's
@@ -1022,12 +1053,6 @@ class SessionState:
         self.appended = appended
         self.tombstoned = tombstoned
 
-    def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
-        """Snapshot positions of live row ids (vectorized id -> position map)."""
-        if len(row_ids) == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.row_order[np.searchsorted(self.sorted_rows, row_ids)]
-
     def live_row_ids(self) -> np.ndarray:
         """Row ids alive in this epoch (frozen-oracle support for tests)."""
         return self.rows[self.live]
@@ -1040,9 +1065,10 @@ class SessionState:
 class QuerySession:
     """Shared-traversal batch execution over one :class:`SubproblemAggregator`.
 
-    A session snapshots the aggregator's live point set and builds and
-    flattens one 2D projection tree per dimension pair over it
-    (:meth:`_state_from_rows`); any number of batches (or single queries, via
+    A session snapshots the aggregator's live point set and lays out one
+    flat view per dimension pair over it, straight from the sorted arrays
+    with no projection tree (:meth:`_state_from_rows`); any number of
+    batches (or single queries, via
     :meth:`run_one`) can then be answered against the shared state with
     :meth:`run`.
 
@@ -1106,10 +1132,12 @@ class QuerySession:
         """Build a frozen execution state over exactly ``rows``/``matrix``.
 
         The one builder of an execution state: session (re)builds, flushes
-        and merges all come here.  One projection tree per pair is built
-        fresh from the given coordinates, flattened and dropped, and the
-        sorted columns are sorted from them — never read from the
-        aggregator's mutable structures — so a compactor may call this
+        and merges all come here.  Each pair's flat view is built straight
+        from the given coordinates — a stable x sort plus the bulk loader's
+        leaf partition (:func:`bulk_leaf_sizes`), the arrays a fresh
+        projection tree would flatten into, with no tree built — and the
+        sorted columns are sorted from them too.  Nothing is read from the
+        aggregator's mutable structures, so a compactor may call this
         without any lock held.
         """
         aggregator = self._aggregator
@@ -1134,22 +1162,19 @@ class QuerySession:
             col_values={},
             col_positions={},
         )
-        row_list = rows.tolist()
+        angles = tuple(aggregator.angle_grid)
+        sizes = bulk_leaf_sizes(len(rows), aggregator.branching, aggregator.leaf_capacity)
         for rep_dim, att_dim in aggregator.pairing.pairs:
-            tree = ProjectionTree(
-                matrix[:, att_dim],
-                matrix[:, rep_dim],
-                angles=tuple(aggregator.angle_grid),
-                branching=aggregator.branching,
-                leaf_capacity=aggregator.leaf_capacity,
-                row_ids=row_list,
+            x = matrix[:, att_dim]
+            # Snapshot position of each flat position (the rows are unique).
+            by_x = np.argsort(x, kind="stable")
+            flat = _FlatTree.from_sorted(
+                angles, rows[by_x], x[by_x], matrix[by_x, rep_dim], sizes
             )
-            flat = _FlatTree(tree)
-            positions = state.positions_of(flat.rows)
             state.pairs.append((rep_dim, att_dim, flat))
-            # Inverse map: which leaf of this tree holds each snapshot position.
+            # Inverse map: which leaf of this pair holds each snapshot position.
             leaf_of_position = np.empty(len(rows), dtype=np.int64)
-            leaf_of_position[positions] = flat.leaf_of_pos
+            leaf_of_position[by_x] = flat.leaf_of_pos
             state.pair_leaf_of_position.append(leaf_of_position)
         for dim in aggregator._column_dims:
             values = np.ascontiguousarray(matrix[:, dim])

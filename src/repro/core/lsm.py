@@ -32,8 +32,10 @@ to ``SequentialScan`` by the same argument that makes sharded serving exact.
 
 from __future__ import annotations
 
+import atexit
 import math
 import threading
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +62,30 @@ _FANOUT = 4
 #: Inline-flush relief valve: if the background compactor falls this far
 #: behind, the writer flushes synchronously to bound delta memory.
 _HARD_CAP_FACTOR = 8
+
+#: Longest wait, per thread, for an in-flight compactor at interpreter exit.
+_EXIT_JOIN_SECONDS = 30.0
+
+#: The background compactor threads not yet collected.
+_COMPACTORS: "weakref.WeakSet[threading.Thread]" = weakref.WeakSet()
+
+#: Set at interpreter exit: no compactor starts and ``maintain`` stops
+#: between structure ops.
+_EXITING = threading.Event()
+
+
+@atexit.register
+def _join_compactors() -> None:
+    """Stop scheduling maintenance, then let in-flight compactors finish.
+
+    Compactors are daemon threads, so nothing else waits for them: one still
+    inside a merge while the interpreter finalizes is torn down mid-call,
+    which can abort the process.  Each finishes its current op and stops.
+    """
+    _EXITING.set()
+    for thread in list(_COMPACTORS):
+        thread.join(_EXIT_JOIN_SECONDS)
+
 
 _FP_FLUSH = faults.declare_fault_point(
     "compact.flush",
@@ -450,13 +476,14 @@ class LsmSession(QuerySession):
         Background mode hands the work to a short-lived compactor thread and
         only flushes inline when the delta outruns the hard cap; inline mode
         performs the due ops synchronously.  No-op once a durability wrapper
-        has claimed scheduling (``auto_compaction=False``).
+        has claimed scheduling (``auto_compaction=False``) or the interpreter
+        is exiting.
         """
         error = self._maintenance_error
         if error is not None:
             self._maintenance_error = None
             raise RuntimeError("background LSM maintenance failed") from error
-        if not self.auto_compaction:
+        if not self.auto_compaction or _EXITING.is_set():
             return
         world = self._world
         if self._plan_maintenance(world) is None:
@@ -470,6 +497,7 @@ class LsmSession(QuerySession):
                 target=self._background_maintain, name="lsm-compactor", daemon=True
             )
             self._compactor = compactor
+            _COMPACTORS.add(compactor)
             compactor.start()
         elif world.delta.num_live >= _HARD_CAP_FACTOR * self.flush_rows:
             # The compactor is behind; bound delta memory with one inline
@@ -488,12 +516,13 @@ class LsmSession(QuerySession):
         Each entry is ``("flush",)`` or ``("compact", seqs)`` — the shape a
         durability wrapper journals as WAL records.  Serialized against
         concurrent maintenance, so explicit calls and the background thread
-        never interleave half-built merges.
+        never interleave half-built merges.  Stops between ops once the
+        interpreter is exiting.
         """
         ops: List[Tuple] = []
         with self._maintain_lock:
             while True:
-                if self._aggregator.closed:
+                if self._aggregator.closed or _EXITING.is_set():
                     break
                 plan = self._plan_maintenance(self._world)
                 if plan is None:
@@ -513,9 +542,10 @@ class LsmSession(QuerySession):
         """Fold the delta into a fresh immutable level (epoch-published).
 
         Returns False when the delta held no rows (nothing published).  Cost
-        is O(delta log delta) — building the per-pair projection trees over
-        the delta rows only — under the aggregator write lock, which bounds
-        writer stalls by the flush threshold instead of the dataset size.
+        is O(delta log delta) — one x sort per pair over the delta rows, whose
+        flat views are built straight from the sorted arrays with no tree —
+        under the aggregator write lock, which bounds writer stalls by the
+        flush threshold instead of the dataset size.
         """
         with self._aggregator.write_lock:
             return self._flush_locked()

@@ -1079,6 +1079,8 @@ def _restore_aggregator(
     agg._base_matrix = matrix
     agg._extra_points = {}
     agg._deleted = set(int(row) for row in deleted_ids)
+    # Every deleted id was given a ``base`` entry above.
+    agg._base_deleted = len(agg._deleted)
     agg._max_row_id = int(payload["max_row_id"])
     agg._mutations = int(payload["mutations"])
 

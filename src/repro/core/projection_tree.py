@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.geometry import Angle
 from repro.core.results import IndexStats
 
-__all__ = ["ProjectionTree", "ProjectionStream", "StreamSpec"]
+__all__ = ["ProjectionTree", "ProjectionStream", "StreamSpec", "bulk_leaf_sizes", "require_unique"]
 
 
 # Bounds are stored per angle as a 4-tuple in this order.
@@ -279,6 +279,59 @@ class _BoundResolver:
         return self._exact_index is None
 
 
+def require_unique(row_ids: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``row_ids`` holds any id twice.
+
+    One sort and an adjacent compare: numpy 2's hash-based ``np.unique`` is
+    tens of times slower on large integer id arrays.
+    """
+    ordered = np.sort(np.asarray(row_ids, dtype=np.int64))
+    if bool((ordered[1:] == ordered[:-1]).any()):
+        raise ValueError("row ids must be unique")
+
+
+def _check_shape(branching: int, leaf_capacity: int) -> None:
+    if branching < 2:
+        raise ValueError(f"branching factor must be >= 2, got {branching}")
+    if leaf_capacity < 1:
+        raise ValueError(f"leaf capacity must be >= 1, got {leaf_capacity}")
+
+
+def bulk_leaf_sizes(n: int, branching: int, leaf_capacity: int) -> np.ndarray:
+    """Leaf sizes, in x order, of the tree the bulk loader builds over ``n`` points.
+
+    The node-free twin of :meth:`ProjectionTree._build_range`: every range of
+    one tree level is split at once, with the loader's child count and the
+    exact float arithmetic of its ``np.linspace(lo, hi, children + 1)``
+    boundaries (``i * step + lo``, truncated; the last one is ``hi``), and
+    empty child ranges are dropped as the loader skips them.  A leaf range
+    is kept as its own single child, so each pass preserves x order and the
+    result is the loader's left-to-right leaf sequence — the partition
+    execution states are flattened over without building the tree.
+    """
+    _check_shape(branching, leaf_capacity)
+    lo = np.zeros(1 if n > 0 else 0, dtype=np.int64)
+    hi = np.full(len(lo), n, dtype=np.int64)
+    while True:
+        size = hi - lo
+        split = size > leaf_capacity
+        if not split.any():
+            return size
+        wanted = np.maximum(2, -(-size // leaf_capacity))
+        children = np.where(split, np.minimum(np.minimum(branching, wanted), size), 1)
+        owner = np.repeat(np.arange(len(size)), children)
+        child = np.arange(len(owner)) - np.repeat(np.cumsum(children) - children, children)
+        step = (size / children)[owner]
+        child_lo = (child * step + lo[owner]).astype(np.int64)
+        child_hi = np.where(
+            child == children[owner] - 1,
+            hi[owner],
+            ((child + 1) * step + lo[owner]).astype(np.int64),
+        )
+        keep = child_hi > child_lo
+        lo, hi = child_lo[keep], child_hi[keep]
+
+
 class ProjectionTree:
     """The x-ordered, bound-annotated tree shared by all top-k query strategies."""
 
@@ -292,10 +345,7 @@ class ProjectionTree:
         row_ids: Optional[Sequence[int]] = None,
         rebuild_threshold: float = 0.25,
     ) -> None:
-        if branching < 2:
-            raise ValueError(f"branching factor must be >= 2, got {branching}")
-        if leaf_capacity < 1:
-            raise ValueError(f"leaf capacity must be >= 1, got {leaf_capacity}")
+        _check_shape(branching, leaf_capacity)
         if not angles:
             raise ValueError("at least one indexed angle is required")
         self.branching = int(branching)
@@ -319,8 +369,7 @@ class ProjectionTree:
         )
         if rows.shape != xs.shape:
             raise ValueError("row_ids must align with coordinates")
-        if len(np.unique(rows)) != len(rows):
-            raise ValueError("row_ids must be unique")
+        require_unique(rows)
 
         self._build_seconds = 0.0
         self._bulk_load(rows, xs, ys)
@@ -355,6 +404,7 @@ class ProjectionTree:
         return max(1, math.ceil(math.log(leaves, self.branching))) + 1 if leaves > 1 else 1
 
     def _build_range(self, lo: int, hi: int):
+        # The split rule is mirrored, node-free, by bulk_leaf_sizes: change both.
         if hi - lo <= self.leaf_capacity:
             leaf = _Leaf(lo, hi)
             self._refresh_leaf(leaf)

@@ -39,8 +39,9 @@ class SDIndex:
     batches (:meth:`batch_query`).
 
     **Cached session lifecycle.**  Both paths execute on a shared
-    *query session* — the projection trees flattened into leaf-aligned numpy
-    arrays (see :class:`repro.core.batch.QuerySession` and DESIGN.md):
+    *query session* — each dimension pair's projection-tree leaves laid out
+    as leaf-aligned numpy arrays, built without the tree (see
+    :class:`repro.core.batch.QuerySession` and DESIGN.md):
 
     * The session is built with the index and then reused;
       :meth:`query_session` returns it for direct batch use.  The legacy

@@ -15,8 +15,8 @@ density/locality-aware any-k serving, arxiv 1611.04705, PAPERS.md):
   exactly one shard; the router remembers the assignment so deletes and
   rebalances route exactly.
 * **Per-shard engines.**  Each shard owns a full
-  :class:`repro.core.aggregate.SubproblemAggregator` — its own projection
-  trees, sorted columns and maintained serving session — so updates land in
+  :class:`repro.core.aggregate.SubproblemAggregator` — its own flat pair
+  views, sorted columns and maintained serving session — so updates land in
   K small LSM sessions instead of one monolithic one, and a compaction
   re-walks only its own shard.
 * **Bound-ordered pruned serving.**  Before touching any shard, the engine
@@ -57,6 +57,7 @@ from repro.core.aggregate import SubproblemAggregator, claim_row_ids
 from repro.core.batch import BatchQuerySpec, SessionSnapshot, _prune_bound
 from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.core.epoch import EpochManager
+from repro.core.projection_tree import require_unique
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, IndexStats, ShardCoverage, TopKResult
 
@@ -185,8 +186,8 @@ class ShardRouter:
     def assign(self, row_ids: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         """Route new rows and record their assignment; returns the shard ids."""
         shards = self.route(row_ids, matrix)
-        for row, shard in zip(row_ids, shards):
-            self._shard_of[int(row)] = int(shard)
+        ids = np.asarray(row_ids, dtype=np.int64).tolist()
+        self._shard_of.update(zip(ids, shards.tolist()))
         return shards
 
     def shard_of(self, row_id: int) -> int:
@@ -285,8 +286,7 @@ class ShardedIndex:
         )
         if len(rows) != len(matrix):
             raise ValueError("row_ids must align with the data matrix")
-        if len(np.unique(rows)) != len(rows):
-            raise ValueError("row ids must be unique")
+        require_unique(rows)
 
         if partitioner == "range" and range_dim is None:
             # Default to the first attractive dimension: attraction penalizes
@@ -352,7 +352,7 @@ class ShardedIndex:
             matrix.reshape(len(rows), self.num_dims),
             repulsive=self.repulsive,
             attractive=self.attractive,
-            row_ids=[int(r) for r in rows],
+            row_ids=rows.tolist(),
             **self._index_options,
         )
 
@@ -505,7 +505,10 @@ class ShardedIndex:
             order = np.argsort(row_array, kind="stable")
             row_array = row_array[order]
             matrix = np.vstack([points for _, points in populations])[order]
-            before = old_router.assignments()
+            # Every row lives in the shard it is assigned to.
+            before = np.repeat(
+                np.arange(len(populations)), [len(rows) for rows, _ in populations]
+            )[order]
             router = ShardRouter(
                 old_router.num_shards,
                 old_router.partitioner,
@@ -515,7 +518,7 @@ class ShardedIndex:
             router.salt = old_router.salt
             router.refit(matrix, reshuffle=True)
             shards = router.assign(row_array, matrix)
-            moved = any(before[int(r)] != int(s) for r, s in zip(row_array, shards))
+            moved = bool((before != shards).any())
             topology = _ShardTopology(
                 router,
                 tuple(

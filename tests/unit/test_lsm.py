@@ -4,13 +4,19 @@ Covers the copy-on-write :class:`DeltaState`, flush/compact structure
 transitions and their counters, the size-tiered planning policy, the
 delta-absorbed-delete accounting regression (deletes that never reach a
 level must not count as level garbage), the inline hard-cap relief valve,
-the durability takeover (``auto_compaction=False``) contract, and the
-no-stop-the-world guarantee: the default write path never reflattens.
+the durability takeover (``auto_compaction=False``) contract, the
+no-stop-the-world guarantee (the default write path never reflattens) and a
+clean interpreter exit while a background merge is still running.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +429,79 @@ class TestLsmWorldAggregates:
         assert len(ids) == 32 and len(np.unique(ids)) == 32
         assert world.live_matrix().shape == (32, NUM_DIMS)
         assert world.level(-1) is None
+
+
+#: Builds a 20k-row index, churns it until a background merge of every level
+#: is running (a fault-plane callback holds it in flight), then exits without
+#: ``close()``.  The hook registered first runs last: it reports whether a
+#: compactor thread outlived the library's own exit handler.
+EXIT_MID_MERGE = textwrap.dedent(
+    """
+    import atexit, sys, threading, time
+
+    def report():
+        alive = sum(
+            t.name == "lsm-compactor" and t.is_alive() for t in threading.enumerate()
+        )
+        print(f"compactors alive at exit: {alive}", flush=True)
+
+    atexit.register(report)
+
+    import numpy as np
+    from repro import faults
+    from repro.core.sdindex import SDIndex
+    from tests.conftest import CallbackPlane
+
+    merging = threading.Event()
+
+    def slow_merge(point):
+        if point == "compact.merge" and threading.current_thread().name == "lsm-compactor":
+            merging.set()
+            time.sleep(0.2)  # still merging when the main thread exits
+
+    rng = np.random.default_rng(int(sys.argv[1]))
+    # fanout=64 rules out tier merges: the one merge left is the
+    # tombstone-triggered compaction of every level.
+    index = SDIndex.build(
+        rng.random((20_000, 4)), repulsive=(0, 1), attractive=(2, 3),
+        flush_rows=64, fanout=64,
+    )
+    faults.install_fault_plane(CallbackPlane(slow_merge))
+    for _ in range(10):
+        index.bulk_insert(rng.random((100, 4)))
+    victims = rng.permutation(20_000)
+    for start in range(0, 20_000, 500):
+        if merging.wait(0.01):
+            break
+        index.bulk_delete(victims[start : start + 500].tolist())
+    assert merging.wait(10), "no merge started"
+    print("merge in flight", flush=True)
+    """
+)
+
+
+class TestInterpreterExit:
+    def test_exit_mid_merge_joins_the_compactor(self):
+        """Exiting without close() while a merge runs finishes it, never aborts.
+
+        A daemon compactor left inside native code at finalization once
+        aborted a script (``terminate called without an active exception``,
+        exit code 134).  The runs are sequential: one child at a time.
+        """
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        paths = [str(root / "src"), str(root)] + ([existing] if existing else [])
+        env["PYTHONPATH"] = os.pathsep.join(paths)
+        for seed in range(10):
+            done = subprocess.run(
+                [sys.executable, "-c", EXIT_MID_MERGE, str(seed)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, (seed, done.returncode, done.stderr[-2000:])
+            assert "terminate called" not in done.stderr
+            assert "merge in flight" in done.stdout
+            assert "compactors alive at exit: 0" in done.stdout, (seed, done.stdout)

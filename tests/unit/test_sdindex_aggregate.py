@@ -44,6 +44,26 @@ class TestSDIndexConstruction:
         index = SDIndex.build(small_4d_dataset, repulsive=[0, 1], attractive=[2, 3])
         assert len(index.pairing.pairs) == 2
 
+    def test_rejects_duplicate_row_ids(self, small_4d_dataset):
+        row_ids = list(range(len(small_4d_dataset)))
+        row_ids[-1] = row_ids[0]
+        with pytest.raises(ValueError, match="row ids must be unique"):
+            SDIndex.build(
+                small_4d_dataset, repulsive=[0, 1], attractive=[2, 3], row_ids=row_ids
+            )
+
+    def test_sharded_build_rejects_duplicate_row_ids(self, small_4d_dataset):
+        row_ids = list(range(len(small_4d_dataset)))
+        row_ids[-1] = row_ids[0]
+        with pytest.raises(ValueError, match="row ids must be unique"):
+            SDIndex.build_sharded(
+                small_4d_dataset,
+                repulsive=[0, 1],
+                attractive=[2, 3],
+                num_shards=2,
+                row_ids=row_ids,
+            )
+
 
 class TestSDIndexQueries:
     def test_query_with_sdquery_object(self, small_4d_dataset, rng):
@@ -183,3 +203,37 @@ class TestAggregatorInternals:
         result = aggregator.query(query)
         assert result.candidates_examined >= result.full_evaluations >= len(result)
         assert result.full_evaluations < len(small_4d_dataset)
+
+
+class TestRowStoreChurn:
+    def test_deleted_inserts_leave_no_stored_vectors(self):
+        """Insert/delete cycles keep no vector of a deleted row: the store
+        holds the live rows only, ``len`` stays exact and a deleted id stays
+        unclaimable."""
+        from repro.baselines import SequentialScan
+
+        rng = np.random.default_rng(41)
+        index = SDIndex.build(rng.random((50_000, 4)), repulsive=[0, 1], attractive=[2, 3])
+        aggregator = index.aggregator
+        for _ in range(3):
+            ids = index.bulk_insert(rng.random((20_000, 4)))
+            index.bulk_delete(ids)
+        index.quiesce_maintenance()
+        assert aggregator._extra_points == {}
+        assert len(index) == 50_000
+        with pytest.raises(ValueError, match="was deleted"):
+            index.insert(rng.random(4), row_id=ids[0])
+        with pytest.raises(KeyError):
+            index.delete(ids[-1])
+        index.bulk_delete(list(range(10)))
+        assert len(index) == 49_990
+        rows, matrix = aggregator.live_population()
+        assert len(rows) == 49_990
+        oracle = SequentialScan(matrix, [0, 1], [2, 3], row_ids=rows.tolist())
+        queries = rng.random((8, 4))
+        for got, want in zip(
+            index.batch_query(queries, k=10).results,
+            oracle.batch_query(queries, k=10).results,
+        ):
+            assert got.row_ids == want.row_ids
+            assert got.scores == want.scores
