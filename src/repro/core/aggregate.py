@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.angles import AngleGrid
 from repro.core.pairing import DimensionPairing, pair_dimensions
+from repro.core.projection_tree import require_finite, require_unique
 from repro.core.query import SDQuery, make_fast_scorer, sd_score
 from repro.core.results import Match, TopKResult
 from repro.core.topk import TopKIndex
@@ -35,34 +36,92 @@ from repro.substrates.bidirectional import FarthestFirstExplorer, NearestFirstEx
 from repro.substrates.heaps import BoundedMaxHeap
 from repro.substrates.sorted_column import SortedColumn
 
-__all__ = ["SubproblemAggregator", "claim_row_ids"]
+__all__ = ["RetiredIds", "SubproblemAggregator", "as_row_ids", "claim_row_ids"]
+
+#: Length at which the tail of :class:`RetiredIds` folds into its sorted main
+#: array: a delete copies at most this many ids, not every retired one.
+_RETIRED_TAIL = 1024
+
+
+def as_row_ids(row_ids) -> np.ndarray:
+    """Row ids as a 1-d int64 array (no copy when they already are one)."""
+    if not isinstance(row_ids, (np.ndarray, list, tuple, range)):
+        row_ids = list(row_ids)
+    ids = np.asarray(row_ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError("row ids must be a 1-d sequence")
+    return ids
+
+
+class RetiredIds:
+    """Every deleted row id: such ids are never claimable again.
+
+    A sorted int64 array plus a short tail that deletes append to and that
+    folds into the array at ``_RETIRED_TAIL`` ids, so a single delete never
+    copies the whole record.  Mutated under the owner's write lock; a fold
+    swaps the array before the tail and readers read the tail first, so an
+    unlocked reader never misses an id.
+    """
+
+    __slots__ = ("_main", "_tail")
+
+    def __init__(self, ids: Optional[np.ndarray] = None) -> None:
+        self._main = np.sort(np.asarray([] if ids is None else ids, dtype=np.int64))
+        self._tail = self._main[:0]
+
+    def contains(self, ids: np.ndarray) -> np.ndarray:
+        """Which of ``ids`` have been retired."""
+        found = np.isin(ids, self._tail)
+        main = self._main
+        if len(main):
+            at = np.minimum(np.searchsorted(main, ids), len(main) - 1)
+            found |= main[at] == ids
+        return found
+
+    def add(self, ids: np.ndarray) -> None:
+        """Retire ``ids`` (unique, none of them retired yet)."""
+        tail = np.concatenate([self._tail, ids])
+        if len(tail) >= _RETIRED_TAIL:
+            self._main, tail = np.sort(np.concatenate([self._main, tail])), tail[:0]
+        self._tail = tail
+
+    def array(self) -> np.ndarray:
+        """Every retired id, ascending."""
+        return np.sort(np.concatenate([self._main, self._tail]))
 
 
 def claim_row_ids(
-    row_ids: Optional[Sequence[int]], count: int, max_row_id: int, is_deleted, is_present
-) -> List[int]:
-    """The row-id claim policy shared by the aggregator and the sharded router.
+    row_ids, count: int, max_row_id: int, retired: RetiredIds, live_mask
+) -> np.ndarray:
+    """The row-id claim policy shared by the aggregator and the sharded engine.
 
     ``None`` auto-assigns ``count`` ids past the high-water mark
     ``max_row_id``.  Explicit ids must align with the points and be unique;
     deleted ids are never reusable (their physical copies may still sit in
-    bulk arrays) and live ids cannot be claimed twice.  Every id is checked
-    before any is returned, so a rejected batch claims nothing; callers then
-    advance their own high-water mark once, with the returned ids.
+    level arrays) and live ids (``live_mask``) cannot be claimed twice.  An
+    id above the high-water mark was never present, so it skips both
+    lookups.  Every id is checked before any is returned, so a rejected
+    batch claims nothing; callers then advance their own high-water mark
+    once, with the returned ids.
     """
     if row_ids is None:
-        ids = list(range(max_row_id + 1, max_row_id + 1 + count))
-    else:
-        ids = [int(r) for r in row_ids]
-        if len(ids) != count:
-            raise ValueError("row_ids must align with the points")
-        if len(set(ids)) != len(ids):
-            raise ValueError("row ids must be unique")
-    for row_id in ids:
-        if is_deleted(row_id):
-            raise ValueError(f"row id {row_id} was deleted and cannot be reused")
-        if is_present(row_id):
-            raise ValueError(f"row id {row_id} already present")
+        return np.arange(max_row_id + 1, max_row_id + 1 + count, dtype=np.int64)
+    ids = as_row_ids(row_ids)
+    if len(ids) != count:
+        raise ValueError("row_ids must align with the points")
+    if count > 1:
+        require_unique(ids)
+    seen = ids[ids <= max_row_id]
+    if len(seen):
+        deleted = retired.contains(seen)
+        taken = deleted | live_mask(seen)
+        if taken.any():
+            first = int(np.argmax(taken))
+            if deleted[first]:
+                raise ValueError(
+                    f"row id {int(seen[first])} was deleted and cannot be reused"
+                )
+            raise ValueError(f"row id {int(seen[first])} already present")
     return ids
 
 
@@ -127,6 +186,16 @@ class SubproblemAggregator:
         matrix = np.asarray(data, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("data must be an (n, m) matrix")
+        require_finite(matrix)
+        # A private copy: the first level keeps the ids as its ``rows``.
+        rows = (
+            np.arange(len(matrix), dtype=np.int64)
+            if row_ids is None
+            else np.array(as_row_ids(row_ids))
+        )
+        if len(rows) != len(matrix):
+            raise ValueError("row_ids must align with the data matrix")
+        require_unique(rows)
         #: Options of the LSM sessions this aggregator creates: the delta
         #: absorbs writes, immutable levels serve the bulk, a compactor folds
         #: them down (DESIGN.md section 11).
@@ -147,27 +216,11 @@ class SubproblemAggregator:
         self.branching = branching
         self.leaf_capacity = leaf_capacity
         self.pairing_strategy = pairing
-
-        rows = (
-            list(range(len(matrix)))
-            if row_ids is None
-            else [int(r) for r in row_ids]
-        )
-        if len(rows) != len(matrix):
-            raise ValueError("row_ids must align with the data matrix")
-        self._base_rows = {row: i for i, row in enumerate(rows)}
-        if len(self._base_rows) != len(rows):
-            raise ValueError("row ids must be unique")
-        self._base_matrix = matrix
-        #: Vectors of the live inserted rows (a delete drops its entry).
-        self._extra_points: Dict[int, np.ndarray] = {}
         #: Every deleted id, build row or insert: never claimable again.
-        self._deleted: set = set()
-        #: How many of the ``_deleted`` ids are build rows (``_base_rows``).
-        self._base_deleted = 0
+        self._retired = RetiredIds()
         #: Largest row id ever present; auto-assigned ids are this plus one
         #: (deleted ids stay unavailable, so the counter never moves back).
-        self._max_row_id = max(rows) if rows else -1
+        self._max_row_id = int(rows.max()) if len(rows) else -1
 
         self.pairing: DimensionPairing = pair_dimensions(
             self.repulsive, self.attractive, strategy=pairing, data=matrix
@@ -175,13 +228,14 @@ class SubproblemAggregator:
         self._column_dims = list(self.pairing.leftover_repulsive) + list(
             self.pairing.leftover_attractive
         )
-        #: The legacy traversal's per-pair projection trees and leftover-dim
-        #: sorted columns.  Only ``query`` and ``stats`` read them, so nothing
-        #: builds them until one of those does (:meth:`_legacy_structures`);
-        #: from then on writes patch the trees and drop the columns for a
-        #: rebuild on next use.
+        #: The legacy traversal's per-pair projection trees, leftover-dim
+        #: sorted columns and row-id -> vector map.  Only ``query`` and
+        #: ``stats`` read them, so nothing builds them until one of those
+        #: does (:meth:`_legacy_structures`); from then on writes patch the
+        #: trees and the map and drop the columns for a rebuild on next use.
         self._pair_indexes: Optional[List[TopKIndex]] = None
         self._columns: Optional[Dict[int, SortedColumn]] = None
+        self._legacy_points: Optional[Dict[int, np.ndarray]] = None
         self._mutations = 0
         #: Live query sessions every update is pushed to (weak refs so
         #: abandoned sessions disappear).
@@ -189,12 +243,18 @@ class SubproblemAggregator:
         self._closed = False
         #: The serving session backing the single-query fast path,
         #: ``batch_query`` and snapshots.  Built now, so the first read after
-        #: a build never waits for it.
-        self._serving_session = self._make_session()
+        #: a build never waits for it.  Its published world is the row store:
+        #: the only record of which rows exist and where they live.
+        self._serving_session = self._make_session(population=(rows, matrix))
 
     # ------------------------------------------------------------------ basics
+    def _world(self):
+        """The serving session's published :class:`~repro.core.lsm.LsmWorld`."""
+        return self.serving_session()._world
+
     def __len__(self) -> int:
-        return len(self._base_rows) - self._base_deleted + len(self._extra_points)
+        session = self._serving_session
+        return 0 if session is None else session._world.num_live
 
     @property
     def mutations(self) -> int:
@@ -219,44 +279,27 @@ class SubproblemAggregator:
     def point(self, row_id: int) -> np.ndarray:
         """Random access to a live point's full coordinate vector."""
         row_id = int(row_id)
-        if row_id in self._deleted:
+        vector = self._world().point(row_id)
+        if vector is not None:
+            return vector
+        if self._retired.contains(np.array([row_id], dtype=np.int64))[0]:
             raise KeyError(f"row id {row_id} was deleted")
-        if row_id in self._extra_points:
-            return self._extra_points[row_id]
-        return self._base_matrix[self._base_rows[row_id]]
+        raise KeyError(f"row id {row_id} not present")
 
-    def _is_present(self, row_id: int) -> bool:
-        """True if ``row_id`` is a build row (live or deleted) or a live insert.
-
-        A deleted insert is forgotten here; callers check ``_deleted`` first.
-        """
-        return row_id in self._base_rows or row_id in self._extra_points
+    def live_mask(self, row_ids) -> np.ndarray:
+        """Which of ``row_ids`` are live rows (vectorized over the row store)."""
+        return self._world().live_mask(as_row_ids(row_ids))
 
     def live_population(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The live rows as ``(row_ids, matrix)``: build rows first, then inserts.
+        """The live rows as ``(row_ids, matrix)``, in level order, delta last.
 
         The one assembly of the population that session rebuilds, the legacy
-        structures and shard rebalances are built from, vectorized over the
-        row bookkeeping and read under the write lock.
+        structures and shard rebalances are built from, gathered from the
+        serving session's world under the write lock.
         """
         with self._write_lock:
-            base, extras = self._base_rows, self._extra_points
-            base_rows = np.fromiter(base.keys(), dtype=np.int64, count=len(base))
-            if not self._deleted and not extras:
-                return base_rows, self._base_matrix
-            positions = np.fromiter(base.values(), dtype=np.int64, count=len(base))
-            rows = np.concatenate(
-                [base_rows, np.fromiter(extras.keys(), dtype=np.int64, count=len(extras))]
-            )
-            deleted = np.fromiter(self._deleted, dtype=np.int64, count=len(self._deleted))
-            live = ~np.isin(rows, deleted)
-            # Restored engines keep deleted ids at sentinel position -1: mask
-            # before gathering.
-            parts = [self._base_matrix[positions[live[: len(base)]]]]
-            if extras:
-                inserted = np.asarray(list(extras.values()), dtype=float)
-                parts.append(inserted[live[len(base) :]])
-            return rows[live], np.vstack(parts)
+            world = self._world()
+            return world.live_row_ids(), world.live_matrix()
 
     def _legacy_structures(self) -> Tuple[List[TopKIndex], Dict[int, SortedColumn]]:
         """The pair trees and sorted columns, built from the live rows if missing.
@@ -268,6 +311,7 @@ class SubproblemAggregator:
             rows, matrix = self.live_population()
             if self._pair_indexes is None:
                 row_ids = rows.tolist()
+                self._legacy_points = dict(zip(row_ids, matrix))
                 self._pair_indexes = [
                     TopKIndex(
                         x=matrix[:, att_dim],
@@ -290,37 +334,47 @@ class SubproblemAggregator:
         self._sessions = [ref for ref in self._sessions if ref() is not None]
         self._sessions.append(weakref.ref(session))
 
-    def _apply_write(self, ids: List[int], matrix: Optional[np.ndarray] = None) -> None:
+    def _apply_write(self, ids: np.ndarray, matrix: Optional[np.ndarray] = None) -> None:
         """Finish a validated insert (``matrix`` given) or delete of ``ids``.
 
-        Built pair trees are patched; columns are dropped for a rebuild on the
-        next legacy query.  Then every live session absorbs the write (dead
-        weak refs are dropped) and may schedule LSM maintenance — either hand
-        the due flush/merge to its background compactor or, inline, perform
-        it now under the already held reentrant lock.
+        Every live session absorbs the write (dead weak refs are dropped),
+        the serving session first: its world is the row store, so a write
+        that fails to publish there changes nothing.  Then built legacy
+        structures are patched (the pair trees and the row map; columns are
+        dropped for a rebuild on the next legacy query), deleted ids retire,
+        and each session may schedule LSM maintenance — either hand the due
+        flush/merge to its background compactor or, inline, perform it now
+        under the already held reentrant lock.
         """
-        if self._pair_indexes is not None:
-            for index, (rep_dim, att_dim) in zip(self._pair_indexes, self.pairing.pairs):
-                if matrix is None:
-                    for row_id in ids:
-                        index.delete(row_id)
-                else:
-                    for row_id, vector in zip(ids, matrix):
-                        index.insert(vector[att_dim], vector[rep_dim], row_id)
-        if self._column_dims:
-            self._columns = None
         self._mutations += 1
-        id_array = np.asarray(ids, dtype=np.int64)
         alive: List[weakref.ref] = []
         for ref in self._sessions:
             session = ref()
             if session is not None:
                 if matrix is None:
-                    session.apply_bulk_delete(id_array)
+                    session.apply_bulk_delete(ids)
                 else:
-                    session.apply_bulk_insert(id_array, matrix)
+                    session.apply_bulk_insert(ids, matrix)
                 alive.append(ref)
         self._sessions = alive
+        if self._pair_indexes is not None:
+            row_ids = ids.tolist()
+            for index, (rep_dim, att_dim) in zip(self._pair_indexes, self.pairing.pairs):
+                if matrix is None:
+                    for row_id in row_ids:
+                        index.delete(row_id)
+                else:
+                    for row_id, vector in zip(row_ids, matrix):
+                        index.insert(vector[att_dim], vector[rep_dim], row_id)
+            if matrix is None:
+                for row_id in row_ids:
+                    del self._legacy_points[row_id]
+            else:
+                self._legacy_points.update(zip(row_ids, matrix))
+        if self._column_dims:
+            self._columns = None
+        if matrix is None:
+            self._retired.add(ids)
         for ref in alive:
             session = ref()
             if session is not None:
@@ -350,7 +404,7 @@ class SubproblemAggregator:
         per point.  No tree is built or patched unless the legacy structures
         already exist.
         """
-        # A private copy: the legacy trees may be built from it much later.
+        # A private copy: the legacy row map may hold its rows.
         matrix = np.array(points, dtype=float)
         if matrix.size == 0:
             matrix = matrix.reshape(0, self._num_dims)
@@ -358,21 +412,27 @@ class SubproblemAggregator:
             raise ValueError(
                 f"points must have shape (m, {self._num_dims}), got {matrix.shape}"
             )
+        require_finite(matrix)
         with self._write_lock:
             self._check_closed()
             ids = claim_row_ids(
-                row_ids,
-                len(matrix),
-                self._max_row_id,
-                self._deleted.__contains__,
-                self._is_present,
+                row_ids, len(matrix), self._max_row_id, self._retired, self.live_mask
             )
-            if not ids:
-                return []
-            self._max_row_id = max(self._max_row_id, max(ids))
-            self._extra_points.update(zip(ids, matrix))
-            self._apply_write(ids, matrix)
-            return ids
+            self._insert_claimed(ids, matrix)
+            return ids.tolist()
+
+    def _insert_claimed(self, ids: np.ndarray, matrix: np.ndarray) -> None:
+        """The one insert body: finite rows under ids already claimed.
+
+        :meth:`bulk_insert` calls it after its own claim; the sharded engine
+        after claiming the ids against its own bookkeeping, which covers
+        every shard's, so a shard does not validate them a second time.
+        """
+        with self._write_lock:
+            self._check_closed()
+            if len(ids):
+                self._max_row_id = max(self._max_row_id, int(ids.max()))
+                self._apply_write(ids, matrix)
 
     def delete(self, row_id: int) -> None:
         """Delete one row.
@@ -389,21 +449,26 @@ class SubproblemAggregator:
         Live query sessions tombstone the rows (delta mask or level validity
         mask) instead of being invalidated.
         """
-        ids = [int(r) for r in row_ids]
-        if len(set(ids)) != len(ids):
-            raise ValueError("row ids must be unique")
+        ids = as_row_ids(row_ids)
+        if len(ids) > 1:
+            require_unique(ids)
         with self._write_lock:
             self._check_closed()
-            for row_id in ids:
-                if row_id in self._deleted or not self._is_present(row_id):
-                    raise KeyError(f"row id {row_id} not present")
-            if not ids:
-                return
-            self._deleted.update(ids)
-            extras = self._extra_points
-            dropped = sum(extras.pop(row_id, None) is not None for row_id in ids)
-            self._base_deleted += len(ids) - dropped
-            self._apply_write(ids)
+            live = self.live_mask(ids)
+            if not live.all():
+                raise KeyError(f"row id {int(ids[np.argmin(live)])} not present")
+            self._delete_live(ids)
+
+    def _delete_live(self, ids: np.ndarray) -> None:
+        """The one delete body: unique ids already found live here.
+
+        :meth:`bulk_delete` calls it after its own lookup; the sharded engine
+        after locating the ids across its shards.
+        """
+        with self._write_lock:
+            self._check_closed()
+            if len(ids):
+                self._apply_write(ids)
 
     # ------------------------------------------------------------------ querying
     def query(self, query: SDQuery) -> TopKResult:
@@ -464,6 +529,7 @@ class SubproblemAggregator:
         candidates_examined = 0
         full_evaluations = 0
         fast_score = make_fast_scorer(query)
+        points = self._legacy_points
 
         while True:
             progressed = False
@@ -476,10 +542,10 @@ class SubproblemAggregator:
                 progressed = True
                 row, _partial = pulled
                 candidates_examined += 1
-                if row in seen or row in self._deleted:
+                if row in seen or row not in points:
                     continue
                 seen.add(row)
-                score = fast_score(self.point(row))
+                score = fast_score(points[row])
                 full_evaluations += 1
                 heap.push(score, row)
             threshold = sum(stream.last_partial for stream in streams)
@@ -490,7 +556,7 @@ class SubproblemAggregator:
                 break
 
         matches = [
-            Match(row_id=row, score=score, point=tuple(self.point(row)))
+            Match(row_id=row, score=score, point=tuple(points[row]))
             for score, row in heap.items()
         ]
         return TopKResult(
@@ -546,11 +612,14 @@ class SubproblemAggregator:
             return self.serving_session()
         return self._make_session(seed_pool)
 
-    def _make_session(self, seed_pool: Optional[int] = None):
-        """Construct a fresh LSM session (:class:`repro.core.lsm.LsmSession`)."""
+    def _make_session(self, seed_pool: Optional[int] = None, population=None):
+        """Construct a fresh LSM session (:class:`repro.core.lsm.LsmSession`)
+        over ``population`` (by default the live rows)."""
         from repro.core.lsm import LsmSession
 
-        return LsmSession(self, seed_pool=seed_pool, **self._lsm_options)
+        return LsmSession(
+            self, seed_pool=seed_pool, population=population, **self._lsm_options
+        )
 
     def batch_query(self, queries, k=None, alpha=None, beta=None):
         """Answer a batch of SD-Queries with the vectorized execution engine.
@@ -692,9 +761,7 @@ class SubproblemAggregator:
             self._serving_session = None
             self._pair_indexes = None
             self._columns = None
-            self._base_matrix = np.empty((0, self._num_dims), dtype=float)
-            self._base_rows = {}
-            self._extra_points = {}
+            self._legacy_points = None
         if guard is not None:
             guard.close()
 

@@ -132,6 +132,10 @@ _VERIFY_POOL = 64
 #: shapes the projection trees is untouched, so refinement never rebuilds.
 _BOUND_GRID_REFINE = 4
 
+#: Leaves per block when per-leaf bounds are reduced from the points: the
+#: intercept temporaries span one block's points, never the whole pair.
+_BOUND_BLOCK_LEAVES = 64
+
 #: Fraction of live rows worth of level tombstones a session tolerates before
 #: its maintenance collects them with a compaction, mirroring
 #: ``ProjectionTree.rebuild_threshold``.
@@ -691,6 +695,8 @@ class _FlatTree:
         copying the tree's node bounds keeps the bounds tight on the *refined*
         bound grid and sheds any looseness the tree accumulated from updates
         (tombstoned rows widen node bounds; here they are simply absent).
+        The intercepts are formed and reduced ``_BOUND_BLOCK_LEAVES`` leaves
+        at a time, with the same float operations as one pass over the pair.
         """
         num_angles = len(self.grid_rad)
         if self.num_leaves == 0:
@@ -701,19 +707,23 @@ class _FlatTree:
             self.leaf_max_y = np.empty(0, dtype=float)
             return
         starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        wa = (
-            self.grid_cos[:, None] * self.y[None, :]
-            + self.grid_sin[:, None] * self.x[None, :]
-        )
-        wb = (
-            self.grid_cos[:, None] * self.y[None, :]
-            - self.grid_sin[:, None] * self.x[None, :]
-        )
+        ends = np.append(starts[1:], len(self.x))
+        cos = self.grid_cos[:, None]
+        sin = self.grid_sin[:, None]
         bounds = np.empty((self.num_leaves, num_angles, 4), dtype=float)
-        bounds[:, :, _MAX_A] = np.maximum.reduceat(wa, starts, axis=1).T
-        bounds[:, :, _MIN_A] = np.minimum.reduceat(wa, starts, axis=1).T
-        bounds[:, :, _MAX_B] = np.maximum.reduceat(wb, starts, axis=1).T
-        bounds[:, :, _MIN_B] = np.minimum.reduceat(wb, starts, axis=1).T
+        for first in range(0, self.num_leaves, _BOUND_BLOCK_LEAVES):
+            last = min(first + _BOUND_BLOCK_LEAVES, self.num_leaves)
+            lo, hi = starts[first], ends[last - 1]
+            cy = cos * self.y[None, lo:hi]
+            sx = sin * self.x[None, lo:hi]
+            wa = cy + sx
+            wb = cy - sx
+            local = starts[first:last] - lo
+            block = bounds[first:last]
+            block[:, :, _MAX_A] = np.maximum.reduceat(wa, local, axis=1).T
+            block[:, :, _MIN_A] = np.minimum.reduceat(wa, local, axis=1).T
+            block[:, :, _MAX_B] = np.maximum.reduceat(wb, local, axis=1).T
+            block[:, :, _MIN_B] = np.minimum.reduceat(wb, local, axis=1).T
         self.leaf_bounds = bounds
         self.leaf_min_x = np.minimum.reduceat(self.x, starts)
         self.leaf_max_x = np.maximum.reduceat(self.x, starts)
@@ -1090,6 +1100,7 @@ class QuerySession:
         aggregator,
         seed_pool: int = _SEED_POOL,
         reflatten_threshold: float = _REFLATTEN_THRESHOLD,
+        population: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self._aggregator = aggregator
         self._seed_pool = int(seed_pool)
@@ -1106,11 +1117,13 @@ class QuerySession:
         self.reflattens = 0
         self.patched_inserts = 0
         self.patched_deletes = 0
-        # Building reads the aggregator's structures; registration makes the
-        # session visible to its patch path — both under the writer lock so a
-        # concurrent mutation can neither tear the build nor miss the session.
+        # Building reads the aggregator's live rows (or the build's
+        # ``population``, which the aggregator hands its first session);
+        # registration makes the session visible to its patch path — both
+        # under the writer lock so a concurrent mutation can neither tear the
+        # build nor miss the session.
         with aggregator.write_lock:
-            self._build()
+            self._build(population)
             aggregator._register_session(self)
 
     # ------------------------------------------------------------------ state
@@ -1124,7 +1137,7 @@ class QuerySession:
         """
         return self.epochs.current_state()
 
-    def _build(self) -> None:
+    def _build(self, population=None) -> None:
         """(Re)build and publish the execution state (the subclass's job)."""
         raise NotImplementedError
 

@@ -99,17 +99,11 @@ _FP_MERGE = faults.declare_fault_point(
 
 def _locate_live(sorted_rows, row_order, live, ids):
     """Positions of ``ids`` where present *and* live, else -1 (vectorized)."""
-    out = np.full(len(ids), -1, dtype=np.int64)
-    if len(sorted_rows) == 0 or len(ids) == 0:
-        return out
-    at = np.searchsorted(sorted_rows, ids)
-    clipped = np.minimum(at, len(sorted_rows) - 1)
-    found = sorted_rows[clipped] == ids
-    positions = row_order[clipped[found]]
-    alive = live[positions]
-    hits = np.flatnonzero(found)
-    out[hits[alive]] = positions[alive]
-    return out
+    if len(sorted_rows) == 0:
+        return np.full(len(ids), -1, dtype=np.int64)
+    at = np.minimum(sorted_rows.searchsorted(ids), len(sorted_rows) - 1)
+    positions = row_order[at]
+    return np.where((sorted_rows[at] == ids) & live[positions], positions, -1)
 
 
 class DeltaState:
@@ -291,6 +285,25 @@ class LsmWorld:
         parts.append(self.delta.matrix[self.delta.live])
         return np.vstack(parts)
 
+    def live_mask(self, ids: np.ndarray) -> np.ndarray:
+        """Which of ``ids`` are live rows of this world (vectorized)."""
+        found = self.delta.locate_live(ids) >= 0
+        for level in self.levels:
+            if found.all():
+                break
+            found |= level.locate_live(ids) >= 0
+        return found
+
+    def point(self, row_id: int) -> Optional[np.ndarray]:
+        """The coordinates of a live row, or None if it is not live here."""
+        ids = np.array([row_id], dtype=np.int64)
+        for level in self.levels:
+            at = level.locate_live(ids)[0]
+            if at >= 0:
+                return level.state.matrix[at]
+        at = self.delta.locate_live(ids)[0]
+        return self.delta.matrix[at] if at >= 0 else None
+
     def level(self, seq: int) -> Optional[Level]:
         for candidate in self.levels:
             if candidate.seq == seq:
@@ -337,6 +350,7 @@ class LsmSession(QuerySession):
         flush_rows: int = _FLUSH_ROWS,
         fanout: int = _FANOUT,
         background: bool = True,
+        population: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         if flush_rows < 1:
             raise ValueError("flush_rows must be >= 1")
@@ -362,7 +376,7 @@ class LsmSession(QuerySession):
             kwargs["seed_pool"] = seed_pool
         if reflatten_threshold is not None:
             kwargs["reflatten_threshold"] = reflatten_threshold
-        super().__init__(aggregator, **kwargs)
+        super().__init__(aggregator, population=population, **kwargs)
 
     # ------------------------------------------------------------------ state
     @property
@@ -374,11 +388,14 @@ class LsmSession(QuerySession):
         self._next_seq += 1
         return seq
 
-    def _build(self) -> None:
-        """(Re)build as a single-level world over the aggregator's live rows."""
+    def _build(self, population=None) -> None:
+        """(Re)build as a single-level world over ``population`` (``(rows,
+        matrix)``; by default the aggregator's live rows)."""
         aggregator = self._aggregator
         self._generation = aggregator.mutations
-        state = self._state_from_rows(*aggregator.live_population())
+        if population is None:
+            population = aggregator.live_population()
+        state = self._state_from_rows(*population)
         scored = set(aggregator.repulsive) | set(aggregator.attractive)
         world = LsmWorld(
             levels=(Level(self._claim_seq(), state),),

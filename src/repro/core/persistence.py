@@ -9,9 +9,9 @@ PAPERS.md):
 
 * **Snapshots.**  :func:`save_engine` serializes an engine — the flattened
   session arrays (:class:`~repro.core.batch._FlatTree` leaf arrays, validity
-  masks, per-angle bounds), the aggregator's row bookkeeping (deleted ids,
-  row-id high-water mark), the projection-tree / angular-partition parameters
-  and, for :class:`~repro.core.sharding.ShardedIndex`, the router map plus one
+  masks, per-angle bounds), the aggregator's retired ids and row-id
+  high-water mark, the projection-tree / angular-partition parameters and,
+  for :class:`~repro.core.sharding.ShardedIndex`, the router rule plus one
   sub-manifest per shard — into a directory of raw ``.npy`` payloads under a
   JSON manifest carrying a format version and per-file checksums.
   :func:`load_engine` restores the engine; ``mmap=True`` memory-maps every
@@ -58,7 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import faults
-from repro.core.aggregate import SubproblemAggregator
+from repro.core.aggregate import RetiredIds, SubproblemAggregator
 from repro.core.angles import AngleGrid
 from repro.core.batch import SessionState, _FlatTree
 from repro.core.epoch import EpochManager
@@ -916,9 +916,7 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
             if state.levels
             else [int(dim) for dim in agg._column_dims]
         )
-        deleted = np.fromiter(
-            sorted(agg._deleted), dtype=np.int64, count=len(agg._deleted)
-        )
+        deleted = agg._retired.array()
     except BaseException:
         capture.close()
         agg.write_lock.release()
@@ -957,10 +955,9 @@ def _capture_lsm_arrays(
     """Arrays of one pinned :class:`LsmWorld` (levels verbatim, delta verbatim).
 
     The top-level ``rows``/``matrix`` are the world's *live* rows concatenated
-    in level order — the aggregator's row bookkeeping restores from that flat
-    view, exactly as it does from a pre-LSM single-state snapshot whose rows
-    happen to be all live.  The top-level sorted columns belong to the format
-    too; restore does not read them.
+    in level order, and the top-level sorted columns are sorted from them.
+    Format v1 keeps these arrays, but restore reads none of them: the levels
+    and the delta are the row store.
     """
     live_rows = world.live_row_ids()
     live_matrix = world.live_matrix() if world.num_live else np.empty(
@@ -1040,7 +1037,8 @@ def _restore_aggregator(
     """Rebuild an aggregator plus its serving session from checkpoint arrays.
 
     The serving session's world is restored verbatim (every kernel input
-    byte-for-byte as checkpointed) and published as the session's first epoch.
+    byte-for-byte as checkpointed) and published as the session's first epoch;
+    it is the aggregator's row store, so no per-row bookkeeping is rebuilt.
     The aggregator's pair trees and sorted columns stay unbuilt, as on a
     freshly built engine: updates, WAL replay, flushes and merges never need
     them, and the first legacy query or ``stats()`` builds them from the live
@@ -1064,23 +1062,10 @@ def _restore_aggregator(
         leftover_attractive=tuple(int(d) for d in payload["leftover_attractive"]),
     )
 
-    rows = arrays["rows"]
-    matrix = arrays["matrix"]
-    deleted_ids = arrays["deleted"]
-    # Row bookkeeping: every checkpointed row (live or tombstoned) maps to its
-    # matrix position; deleted ids whose physical rows were compacted away by
-    # an earlier reflatten keep a sentinel entry so ``__len__`` and the
-    # id-reuse guard stay exact (their positions are never dereferenced —
-    # ``point`` and ``live_population`` filter on ``_deleted`` first).
-    base = {int(row): i for i, row in enumerate(rows)}
-    for row in deleted_ids:
-        base.setdefault(int(row), -1)
-    agg._base_rows = base
-    agg._base_matrix = matrix
-    agg._extra_points = {}
-    agg._deleted = set(int(row) for row in deleted_ids)
-    # Every deleted id was given a ``base`` entry above.
-    agg._base_deleted = len(agg._deleted)
+    # The restored world is the row store; only the retired ids and the
+    # high-water mark ride beside it (the top-level ``rows``/``matrix`` are
+    # not read).
+    agg._retired = RetiredIds(arrays["deleted"])
     agg._max_row_id = int(payload["max_row_id"])
     agg._mutations = int(payload["mutations"])
 
@@ -1091,6 +1076,7 @@ def _restore_aggregator(
     # query or stats(), exactly as on a freshly built engine.
     agg._pair_indexes = None
     agg._columns = None
+    agg._legacy_points = None
     agg._sessions = []
     agg._serving_session = None
     agg._closed = False
@@ -1277,9 +1263,10 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
     """One consistent cut of the whole sharded engine.
 
     Holding the engine writer lock excludes every mutation path (updates and
-    rebalances all serialize on it), so the topology, the router map, the
-    engine bookkeeping and each shard's pinned session epoch are captured at
-    one point in time; the per-shard array streams run after the lock drops.
+    rebalances all serialize on it), so the topology, the live row->shard
+    assignment (read from the shards, vectorized), the engine bookkeeping and
+    each shard's pinned session epoch are captured at one point in time; the
+    per-shard array streams run after the lock drops.
     """
     if engine.closed:
         raise RuntimeError("ShardedIndex is closed")
@@ -1288,13 +1275,7 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
     try:
         topology = engine._topology.current_state()
         router = topology.router
-        assignments = router.assignments()
-        assigned_rows = np.fromiter(
-            sorted(assignments), dtype=np.int64, count=len(assignments)
-        )
-        assigned_shards = np.asarray(
-            [assignments[int(row)] for row in assigned_rows], dtype=np.int64
-        )
+        assigned_rows, assigned_shards = engine.assignments()
         capture.meta = {
             "repulsive": list(engine.repulsive),
             "attractive": list(engine.attractive),
@@ -1315,9 +1296,7 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
         }
         capture.arrays["router_rows"] = assigned_rows
         capture.arrays["router_shards"] = assigned_shards
-        capture.arrays["deleted"] = np.fromiter(
-            sorted(engine._deleted), dtype=np.int64, count=len(engine._deleted)
-        )
+        capture.arrays["deleted"] = engine._retired.array()
         for s, shard in enumerate(topology.shards):
             capture.children[f"shard-{s}"] = _capture_aggregator(shard)
     except BaseException:
@@ -1342,7 +1321,7 @@ def _restore_sharded(
     engine._executor = None
     engine._closed = False
     engine._write_lock = threading.RLock()
-    engine._deleted = set(int(row) for row in arrays["deleted"])
+    engine._retired = RetiredIds(arrays["deleted"])
     engine._max_row_id = int(payload["max_row_id"])
     engine.rebalances = int(payload["rebalances"])
     engine.serve_stats = {
@@ -1367,10 +1346,8 @@ def _restore_sharded(
         else np.asarray(payload["boundaries"], dtype=float),
     )
     router.salt = int(payload["salt"])
-    router._shard_of = {
-        int(row): int(shard)
-        for row, shard in zip(arrays["router_rows"], arrays["router_shards"])
-    }
+    # ``router_rows``/``router_shards`` are not read: each shard's restored
+    # world says which rows it holds.
     shards = []
     for s in range(router.num_shards):
         child_dir = Path(path) / f"shard-{s}"
@@ -1737,13 +1714,13 @@ def _apply_record(engine, kind: str, op: int, ids: np.ndarray, matrix) -> None:
             for row, point in zip(ids, matrix):
                 engine.insert(float(point[0]), float(point[1]), row_id=int(row))
         else:
-            engine.bulk_insert(matrix, row_ids=[int(r) for r in ids])
+            engine.bulk_insert(matrix, row_ids=ids)
     elif op == OP_BULK_DELETE:
         if kind in _KIND_2D:
             for row in ids:
                 engine.delete(int(row))
         else:
-            engine.bulk_delete([int(r) for r in ids])
+            engine.bulk_delete(ids)
     elif op == OP_REBALANCE:
         engine.rebalance()
     elif op == OP_REBUILD:

@@ -110,7 +110,7 @@ class WorkerDied(ConnectionError):
 
 # --------------------------------------------------------------- worker side
 class _WorkerState:
-    """Everything one worker process owns: engine, view, membership, router."""
+    """Everything one worker process owns: engine, view, router."""
 
     def __init__(self, shard_id: int, boot: Dict) -> None:
         self.shard_id = int(shard_id)
@@ -119,7 +119,6 @@ class _WorkerState:
         self.router = self._build_router(boot["router"])
         self.engine = None
         self.view = None
-        self.members: set = set()
         self._load(boot["shard_dir"])
 
     @staticmethod
@@ -137,7 +136,6 @@ class _WorkerState:
     def _load(self, shard_dir: str) -> None:
         self.engine = load_engine(shard_dir, mmap=True, expect="aggregator")
         self._repin()
-        self.members = {int(r) for r in self.view.live_row_ids()}
 
     def _repin(self) -> None:
         if self.view is not None:
@@ -176,14 +174,13 @@ class _WorkerState:
             block = np.asarray(matrix, dtype=float)
             mine = self.router.route(ids, block) == self.shard_id
             if mine.any():
-                kept = [int(r) for r in np.asarray(ids)[mine]]
-                self.engine.bulk_insert(block[mine], row_ids=kept)
-                self.members.update(kept)
+                self.engine.bulk_insert(block[mine], row_ids=np.asarray(ids)[mine])
         elif op in (OP_DELETE, OP_BULK_DELETE):
-            mine = [int(r) for r in ids if int(r) in self.members]
-            if mine:
+            # Only this shard's rows: the engine's row store says which.
+            ids = np.asarray(ids, dtype=np.int64)
+            mine = ids[self.engine.live_mask(ids)]
+            if len(mine):
                 self.engine.bulk_delete(mine)
-                self.members.difference_update(mine)
         elif op in (OP_FLUSH, OP_COMPACT):
             # LSM structure ops are local to the engine that ran them (level
             # seqs name *that* engine's levels); the worker's own aggregator

@@ -290,6 +290,17 @@ def require_unique(row_ids: np.ndarray) -> None:
         raise ValueError("row ids must be unique")
 
 
+def require_finite(coordinates) -> None:
+    """Raise ``ValueError`` if any stored coordinate is NaN or infinite.
+
+    Every build and write entry point calls this before it claims an id or
+    journals a record: the fast kernels' bounds and the oracle's scores
+    disagree on non-finite points.
+    """
+    if not np.isfinite(coordinates).all():
+        raise ValueError("point coordinates must be finite")
+
+
 def _check_shape(branching: int, leaf_capacity: int) -> None:
     if branching < 2:
         raise ValueError(f"branching factor must be >= 2, got {branching}")

@@ -305,7 +305,7 @@ class SDIndex:
         """Write a durable snapshot of this index at ``path`` (a directory).
 
         The snapshot holds the flattened serving-session arrays, the
-        aggregator's row bookkeeping and the build parameters, versioned and
+        retired row ids and the build parameters, versioned and
         checksummed (DESIGN.md section 7).  Checkpointing pins the current
         serving epoch, so concurrent writers keep running while the arrays
         stream out.  Restore with :meth:`load`; wrap the index in a

@@ -12,8 +12,9 @@ density/locality-aware any-k serving, arxiv 1611.04705, PAPERS.md):
   either by a multiplicative hash of the row id (uniform, locality-free) or by
   range over one scored dimension (quantile boundaries fitted at build time —
   the locality-aware layout that makes bound pruning bite).  Every row lives in
-  exactly one shard; the router remembers the assignment so deletes and
-  rebalances route exactly.
+  exactly one shard.  The router keeps only its rule: which shard holds a row
+  is read from the shards' own row stores, so deletes route exactly even
+  after a rebalance changed the rule.
 * **Per-shard engines.**  Each shard owns a full
   :class:`repro.core.aggregate.SubproblemAggregator` — its own flat pair
   views, sorted columns and maintained serving session — so updates land in
@@ -53,11 +54,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import faults
-from repro.core.aggregate import SubproblemAggregator, claim_row_ids
+from repro.core.aggregate import RetiredIds, SubproblemAggregator, as_row_ids, claim_row_ids
 from repro.core.batch import BatchQuerySpec, SessionSnapshot, _prune_bound
 from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.core.epoch import EpochManager
-from repro.core.projection_tree import require_unique
+from repro.core.projection_tree import require_finite, require_unique
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, IndexStats, ShardCoverage, TopKResult
 
@@ -104,7 +105,7 @@ def _hash_shards(row_ids: np.ndarray, num_shards: int, salt: int = 0) -> np.ndar
 
 
 class ShardRouter:
-    """Assigns rows to shards and remembers where every live row lives.
+    """The rule that assigns new rows to shards.
 
     Two partitioners:
 
@@ -117,10 +118,9 @@ class ShardRouter:
         ranges, which is what lets the serving loop prune whole shards whose
         range is provably too far from a query.
 
-    The explicit ``row_id -> shard`` map (rather than re-deriving the rule) is
-    what keeps deletes exact across :meth:`refit` calls: a row is always
-    removed from the shard it actually lives in, never from where the current
-    rule *would* put it.
+    The router holds no per-row state.  A row stays in the shard the rule
+    picked when it arrived, even after a :meth:`refit`; the engine finds it by
+    looking it up in the shards themselves (:meth:`ShardedIndex.locate`).
     """
 
     def __init__(
@@ -146,10 +146,6 @@ class ShardRouter:
         )
         #: Reshuffle counter mixed into the hash (bumped by rebalances).
         self.salt = 0
-        self._shard_of: Dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._shard_of)
 
     def refit(self, matrix: np.ndarray, reshuffle: bool = False) -> None:
         """Refit the partitioning rule to a data matrix.
@@ -169,7 +165,7 @@ class ShardRouter:
         self.boundaries = np.quantile(matrix[:, self.range_dim], quantiles)
 
     def route(self, row_ids: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Shard of each (new) row under the current rule, without assigning."""
+        """Shard of each (new) row under the current rule."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         if self.num_shards == 1:
             return np.zeros(len(row_ids), dtype=np.int64)
@@ -182,37 +178,6 @@ class ShardRouter:
         return np.searchsorted(
             self.boundaries, matrix[:, self.range_dim], side="right"
         ).astype(np.int64)
-
-    def assign(self, row_ids: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Route new rows and record their assignment; returns the shard ids."""
-        shards = self.route(row_ids, matrix)
-        ids = np.asarray(row_ids, dtype=np.int64).tolist()
-        self._shard_of.update(zip(ids, shards.tolist()))
-        return shards
-
-    def shard_of(self, row_id: int) -> int:
-        """The shard a live row is assigned to."""
-        try:
-            return self._shard_of[int(row_id)]
-        except KeyError:
-            raise KeyError(f"row id {row_id} not present") from None
-
-    def release(self, row_id: int) -> int:
-        """Forget a deleted row's assignment; returns the shard it lived in."""
-        shard = self.shard_of(row_id)
-        del self._shard_of[int(row_id)]
-        return shard
-
-    def counts(self) -> np.ndarray:
-        """Live rows per shard."""
-        counts = np.zeros(self.num_shards, dtype=np.int64)
-        for shard in self._shard_of.values():
-            counts[shard] += 1
-        return counts
-
-    def assignments(self) -> Dict[int, int]:
-        """Snapshot of the full ``row_id -> shard`` map (for invariant tests)."""
-        return dict(self._shard_of)
 
 
 class _ShardTopology:
@@ -266,6 +231,7 @@ class ShardedIndex:
         matrix = np.asarray(data, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("data must be an (n, m) matrix of points")
+        require_finite(matrix)
         self.repulsive = tuple(int(d) for d in repulsive)
         self.attractive = tuple(int(d) for d in attractive)
         self.num_dims = matrix.shape[1]
@@ -282,7 +248,7 @@ class ShardedIndex:
         rows = (
             np.arange(len(matrix), dtype=np.int64)
             if row_ids is None
-            else np.asarray([int(r) for r in row_ids], dtype=np.int64)
+            else as_row_ids(row_ids)
         )
         if len(rows) != len(matrix):
             raise ValueError("row_ids must align with the data matrix")
@@ -302,7 +268,8 @@ class ShardedIndex:
         #: Serializes writers (updates and rebalances) and the brief pin phase
         #: of snapshots, so every snapshot is a consistent cross-shard cut.
         self._write_lock = threading.RLock()
-        self._deleted: set = set()
+        #: Every id deleted through this engine: never claimable again.
+        self._retired = RetiredIds()
         self._max_row_id = int(rows.max()) if len(rows) else -1
         self.rebalances = 0
         #: Counters of the most recent serving call: ``probes`` and ``pruned``
@@ -333,7 +300,7 @@ class ShardedIndex:
         self._topology = EpochManager()
         router = ShardRouter(num_shards, partitioner, range_dim)
         router.refit(matrix)
-        shards = router.assign(rows, matrix)
+        shards = router.route(rows, matrix)
         self._topology.publish(
             _ShardTopology(
                 router,
@@ -352,7 +319,7 @@ class ShardedIndex:
             matrix.reshape(len(rows), self.num_dims),
             repulsive=self.repulsive,
             attractive=self.attractive,
-            row_ids=rows.tolist(),
+            row_ids=rows,
             **self._index_options,
         )
 
@@ -395,42 +362,67 @@ class ShardedIndex:
             return 1.0
         return max(sizes) / (total / self.num_shards)
 
+    def locate(self, row_ids) -> np.ndarray:
+        """The shard holding each of ``row_ids``, or -1 where it is not live.
+
+        Read from the shards' own row stores (vectorized per shard): the
+        router keeps no per-row map.
+        """
+        ids = as_row_ids(row_ids)
+        where = np.full(len(ids), -1, dtype=np.int64)
+        for s, shard in enumerate(self._shards):
+            where[shard.live_mask(ids)] = s
+        return where
+
+    def shard_of(self, row_id: int) -> int:
+        """The shard a live row lives in (``KeyError`` if it is not live)."""
+        where = int(self.locate([row_id])[0])
+        if where < 0:
+            raise KeyError(f"row id {row_id} not present")
+        return where
+
+    def assignments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every live row id, ascending, and the shard that holds it."""
+        rows = [shard._world().live_row_ids() for shard in self._shards]
+        owners = np.repeat(np.arange(len(rows), dtype=np.int64), [len(r) for r in rows])
+        merged = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        order = np.argsort(merged, kind="stable")
+        return merged[order], owners[order]
+
     def point(self, row_id: int) -> np.ndarray:
         """Random access to a live point's full coordinate vector."""
-        return self._shards[self.router.shard_of(row_id)].point(row_id)
+        return self._shards[self.shard_of(row_id)].point(row_id)
 
     def shard(self, index: int) -> SubproblemAggregator:
         """Direct access to one shard's aggregator (tests and benchmarks)."""
         return self._shards[index]
 
     # ------------------------------------------------------------------ updates
-    def _claim_row_ids(self, row_ids: Optional[Sequence[int]], count: int) -> List[int]:
+    def _claim_row_ids(self, row_ids: Optional[Sequence[int]], count: int) -> np.ndarray:
         """Validate every id first, then advance the high-water mark once."""
         ids = claim_row_ids(
             row_ids,
             count,
             self._max_row_id,
-            self._deleted.__contains__,
-            self.router._shard_of.__contains__,
+            self._retired,
+            lambda seen: self.locate(seen) >= 0,
         )
-        if ids:
-            self._max_row_id = max(self._max_row_id, max(ids))
+        if len(ids):
+            self._max_row_id = max(self._max_row_id, int(ids.max()))
         return ids
 
     def insert(self, point: Sequence[float], row_id: Optional[int] = None) -> int:
         """Insert a point; the router picks its shard.  Returns the row id."""
-        vector = np.asarray(point, dtype=float)
+        vector = np.array(point, dtype=float)  # private: a legacy row map may keep it
         if vector.shape != (self.num_dims,):
             raise ValueError(f"point must have {self.num_dims} dimensions")
+        require_finite(vector)
         with self._write_lock:
-            row_id = self._claim_row_ids(None if row_id is None else [row_id], 1)[0]
-            shard = int(
-                self.router.assign(
-                    np.asarray([row_id], dtype=np.int64), vector[None, :]
-                )[0]
-            )
-            self._shards[shard].insert(vector, row_id=row_id)
-            return row_id
+            ids = self._claim_row_ids(None if row_id is None else [row_id], 1)
+            block = vector[None, :]
+            shard = int(self.router.route(ids, block)[0])
+            self._shards[shard]._insert_claimed(ids, block)
+            return int(ids[0])
 
     def bulk_insert(
         self, points, row_ids: Optional[Sequence[int]] = None
@@ -443,19 +435,17 @@ class ShardedIndex:
             raise ValueError(
                 f"points must have shape (m, {self.num_dims}), got {matrix.shape}"
             )
+        require_finite(matrix)
         with self._write_lock:
             ids = self._claim_row_ids(row_ids, len(matrix))
-            if not ids:
+            if not len(ids):
                 return []
-            id_array = np.asarray(ids, dtype=np.int64)
-            shards = self.router.assign(id_array, matrix)
+            shards = self.router.route(ids, matrix)
             for s in range(self.num_shards):
                 members = shards == s
                 if members.any():
-                    self._shards[s].bulk_insert(
-                        matrix[members], row_ids=[int(r) for r in id_array[members]]
-                    )
-            return ids
+                    self._shards[s]._insert_claimed(ids[members], matrix[members])
+            return ids.tolist()
 
     def delete(self, row_id: int) -> None:
         """Delete a row from the shard it lives in.
@@ -464,26 +454,26 @@ class ShardedIndex:
         already-deleted id — the same contract as the flat engines.
         """
         with self._write_lock:
-            shard = self.router.release(row_id)
-            self._deleted.add(int(row_id))
-            self._shards[shard].delete(row_id)
+            shard = self.shard_of(row_id)
+            ids = np.array([row_id], dtype=np.int64)
+            self._shards[shard]._delete_live(ids)
+            self._retired.add(ids)
 
     def bulk_delete(self, row_ids: Sequence[int]) -> None:
         """Delete many rows at once (one bulk patch per touched shard)."""
-        ids = [int(r) for r in row_ids]
-        if len(set(ids)) != len(ids):
-            raise ValueError("row ids must be unique")
+        ids = as_row_ids(row_ids)
+        if len(ids) > 1:
+            require_unique(ids)
         with self._write_lock:
             # Validate everything up front so a bad id cannot half-apply the batch.
-            shards = [self.router.shard_of(row) for row in ids]
-            grouped: Dict[int, List[int]] = {}
-            for row, shard in zip(ids, shards):
-                grouped.setdefault(shard, []).append(row)
-            for row in ids:
-                self.router.release(row)
-                self._deleted.add(row)
-            for shard, members in grouped.items():
-                self._shards[shard].bulk_delete(members)
+            where = self.locate(ids)
+            if (where < 0).any():
+                raise KeyError(f"row id {int(ids[np.argmax(where < 0)])} not present")
+            for s in range(self.num_shards):
+                members = ids[where == s]
+                if len(members):
+                    self._shards[s]._delete_live(members)
+                    self._retired.add(members)
 
     # --------------------------------------------------------------- rebalance
     def rebalance(self) -> bool:
@@ -517,7 +507,7 @@ class ShardedIndex:
             )
             router.salt = old_router.salt
             router.refit(matrix, reshuffle=True)
-            shards = router.assign(row_array, matrix)
+            shards = router.route(row_array, matrix)
             moved = bool((before != shards).any())
             topology = _ShardTopology(
                 router,
@@ -990,8 +980,8 @@ class ShardedIndex:
     def save(self, path) -> None:
         """Write a durable snapshot of the whole sharded engine at ``path``.
 
-        The root manifest records the router (partitioner, boundaries, salt
-        and the explicit row->shard map) and the engine bookkeeping; every
+        The root manifest records the router (partitioner, boundaries and
+        salt), the live row->shard assignment and the engine bookkeeping; every
         shard streams its own sub-snapshot (``shard-<s>/`` with its own
         manifest), captured as one consistent cut under the writer lock with
         per-shard epochs pinned — writers resume while the arrays stream.

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
 from repro.core.isoline import Envelope, EnvelopeSide, build_envelope
+from repro.core.projection_tree import require_finite
 from repro.core.results import IndexStats, Match, TopKResult
 
 __all__ = ["Top1Index", "Top1Snapshot"]
@@ -137,6 +138,8 @@ class Top1Index:
         ys = np.asarray(y, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("x and y must be 1-d arrays of equal length")
+        require_finite(xs)
+        require_finite(ys)
         ids = (
             list(range(len(xs)))
             if row_ids is None
@@ -419,6 +422,7 @@ class Top1Index:
         ``k > 1`` it is buffered and the index is rebuilt once the buffer grows
         beyond a small fraction of the data.
         """
+        require_finite((float(x), float(y)))
         with self._write_lock:
             if row_id is None:
                 row_id = self._next_row_id()

@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.angles import AngleGrid
 from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
-from repro.core.projection_tree import ProjectionTree, StreamSpec
+from repro.core.projection_tree import ProjectionTree, StreamSpec, require_finite
 from repro.core.results import IndexStats, Match, TopKResult
 
 __all__ = ["TopKIndex", "TopKSnapshot"]
@@ -63,6 +63,8 @@ class TopKIndex:
         rebuild_threshold: float = 0.25,
     ) -> None:
         self.angle_grid = angle_grid or AngleGrid.default()
+        require_finite(np.asarray(x, dtype=float))
+        require_finite(np.asarray(y, dtype=float))
         self.tree = ProjectionTree(
             x,
             y,
@@ -367,6 +369,7 @@ class TopKIndex:
         loosen.  The patch lands on a copy-on-write clone that is then
         published, so readers of the previous view are unaffected.
         """
+        require_finite((float(x), float(y)))
         with self._write_lock:
             row = self.tree.insert(x, y, row_id)
             flat = self._flat

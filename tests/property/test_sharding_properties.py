@@ -38,6 +38,12 @@ def _build(seed: int, num_rows: int, num_shards: int, partitioner: str) -> Shard
     )
 
 
+def _assignments(engine: ShardedIndex):
+    """The engine's live ``row_id -> shard`` assignment as a dict."""
+    rows, shards = engine.assignments()
+    return dict(zip(rows.tolist(), shards.tolist()))
+
+
 def _live_rows_per_shard(engine: ShardedIndex):
     return [
         set(engine.shard(s).live_population()[0].tolist())
@@ -65,7 +71,7 @@ def test_every_row_lives_in_exactly_one_shard(seed, num_rows, num_shards, partit
     total = sum(len(rows) for rows in shard_rows)
     assert total == len(union), "a row appears in more than one shard"
     assert total == len(engine)
-    assignments = engine.router.assignments()
+    assignments = _assignments(engine)
     assert set(assignments) == union
     for shard, rows in enumerate(shard_rows):
         for row in rows:
@@ -83,9 +89,9 @@ def test_tombstones_never_leak_across_shards(seed, num_shards, partitioner):
     # Materialize every shard's serving session so deletions must patch them.
     engine.batch_query(np.random.default_rng(seed).random((2, 4)), k=1)
     rng = np.random.default_rng(seed + 1)
-    victims = [int(r) for r in rng.choice(sorted(engine.router.assignments()),
+    victims = [int(r) for r in rng.choice(sorted(_assignments(engine)),
                                           size=25, replace=False)]
-    owners = {row: engine.router.shard_of(row) for row in victims}
+    owners = {row: engine.shard_of(row) for row in victims}
     engine.bulk_delete(victims)
 
     deleted_per_shard = {s: 0 for s in range(engine.num_shards)}
@@ -120,12 +126,12 @@ def test_rebalance_preserves_the_result_set(seed, num_shards, partitioner):
     ks = rng.choice(np.asarray([1, 10]), size=8)
     before = engine.batch_query(points, k=ks)
     total_before = len(engine)
-    assignments_before = engine.router.assignments()
+    assignments_before = _assignments(engine)
 
     engine.rebalance()
 
     assert len(engine) == total_before
-    assert set(engine.router.assignments()) == set(assignments_before)
+    assert set(_assignments(engine)) == set(assignments_before)
     after = engine.batch_query(points, k=ks)
     for mine, theirs in zip(after, before):
         assert mine.row_ids == theirs.row_ids
@@ -187,7 +193,7 @@ def test_empty_range_engine_grows_from_nothing():
     assert engine.shard_sizes()[0] == 200
     query = rng.random((4, 4))
     expected = SDIndex.build(
-        np.asarray([engine.point(r) for r in sorted(engine.router.assignments())]),
+        np.asarray([engine.point(r) for r in sorted(_assignments(engine))]),
         repulsive=REPULSIVE,
         attractive=ATTRACTIVE,
     ).batch_query(query, k=10)
@@ -205,7 +211,7 @@ def test_hash_rebalance_disperses_delete_skew():
     # Concentrate deletes in two shards to skew the layout.
     victims = [
         row
-        for row, shard in sorted(engine.router.assignments().items())
+        for row, shard in sorted(_assignments(engine).items())
         if shard in (1, 2)
     ][:180]
     engine.bulk_delete(victims)
@@ -256,9 +262,9 @@ def test_router_rejects_bad_configuration():
         ShardRouter(2, partitioner="modulo")
     with pytest.raises(ValueError):
         ShardRouter(2, partitioner="range")  # range_dim required
-    router = ShardRouter(4, partitioner="hash")
-    with pytest.raises(KeyError):
-        router.shard_of(42)
+    engine = _build(seed=0, num_rows=10, num_shards=4, partitioner="hash")
+    with pytest.raises(KeyError, match="not present"):
+        engine.shard_of(42)
 
 
 def test_deleted_row_ids_cannot_be_reused():

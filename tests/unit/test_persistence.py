@@ -508,7 +508,8 @@ def test_sharded_roundtrip(dataset, queries, tmp_path, partitioner, mmap):
     engine.save(tmp_path / "snap")
     loaded = ShardedIndex.load(tmp_path / "snap", mmap=mmap)
     assert loaded.shard_sizes() == engine.shard_sizes()
-    assert loaded.router.assignments() == engine.router.assignments()
+    for got, want in zip(loaded.assignments(), engine.assignments()):
+        np.testing.assert_array_equal(got, want)
     same_answers(expected, loaded.batch_query(queries, k=7))
     # Updates and a rebalance keep serving exactly after restore.
     rid = loaded.insert(np.full(4, 0.75))
