@@ -727,13 +727,13 @@ class SubproblemAggregator:
         snapshot's ``.npy`` files mapped; close drops every internal reference
         to the mapped arrays (serving state, pair trees, sorted columns) and
         then releases the maps through the attached
-        :class:`~repro.core.persistence.MmapGuard`, so worker recycling and
-        snapshot-directory pruning never race an open file handle.  A pending
-        reflatten is materialized first: the rebuild copies the mapped data
-        into RAM, leaving any still-pinned reader a consistent world after
-        the files are gone.  Pinned readers keep their mappings alive (and
-        are reported through the guard's leak count) rather than having the
-        pages unmapped beneath them.
+        :class:`~repro.core.persistence.MmapGuard`, so snapshot-directory
+        pruning never races an open file handle.  A pending reflatten is
+        materialized first: the rebuild copies the mapped data into RAM,
+        leaving any still-pinned reader a consistent world after the files
+        are gone.  Pinned readers keep their mappings alive (and are reported
+        through the guard's leak count) rather than having the pages unmapped
+        beneath them.
         """
         if self.closed:
             return

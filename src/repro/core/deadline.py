@@ -68,7 +68,8 @@ class Deadline:
         budget_seconds: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if budget_seconds < 0:
+        # ``not >= 0`` rather than ``< 0``: NaN fails every comparison.
+        if not budget_seconds >= 0:
             raise ValueError(f"budget must be >= 0, got {budget_seconds}")
         self.budget = float(budget_seconds)
         self._clock = clock

@@ -79,7 +79,6 @@ __all__ = [
     "DurableIndex",
     "save_engine",
     "load_engine",
-    "read_wal_tail",
     "recover",
 ]
 
@@ -789,57 +788,6 @@ class WriteAheadLog:
                     yield lsn, op, ids, matrix
 
 
-def read_wal_tail(path, after_lsn: int = 0):
-    """Yield ``(lsn, op, row_ids, matrix)`` past ``after_lsn``, read-only.
-
-    The follower-side counterpart of :meth:`WriteAheadLog.replay`: opening a
-    :class:`WriteAheadLog` *mutates* the file (it truncates a torn tail), so
-    a process that merely tails a log another process is appending to must
-    never construct one.  This reader validates the same checksums but stops
-    at the first invalid record — under a live writer that is simply an
-    append racing the read (or an unacknowledged torn tail after a crash),
-    and every record at or below the writer's flushed ``end_lsn`` is
-    guaranteed intact before it.  Checksum damage with provably intact
-    records beyond it is still corruption and raises.
-    """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        head_size = len(_WAL_MAGIC) + _WAL_BASE.size
-        head = handle.read(head_size)
-        if len(head) < head_size or head[: len(_WAL_MAGIC)] != _WAL_MAGIC:
-            raise SnapshotFormatError(f"not a WAL file: {path}")
-        (lsn,) = _WAL_BASE.unpack(head[len(_WAL_MAGIC) :])
-        offset = head_size
-        while True:
-            start = offset
-            header = handle.read(_RECORD.size)
-            if len(header) < _RECORD.size:
-                return  # end of log (or torn header)
-            rec_lsn, length, crc, head_crc = _RECORD.unpack(header)
-            bad = zlib.crc32(header[:-4]) != head_crc or rec_lsn != lsn + 1
-            if not bad:
-                payload = handle.read(length)
-                if len(payload) < length:
-                    return  # torn payload
-                bad = zlib.crc32(payload) != crc
-                resync_from = start + _RECORD.size + length
-            else:
-                resync_from = start + 1
-            if bad:
-                if WriteAheadLog._valid_record_follows(handle, resync_from, lsn):
-                    raise SnapshotFormatError(
-                        f"WAL corruption at offset {start} (record after "
-                        f"lsn {lsn}, with intact records beyond it)"
-                    )
-                return
-            lsn = rec_lsn
-            offset = start + _RECORD.size + length
-            handle.seek(offset)
-            if lsn > after_lsn:
-                op, ids, matrix = _decode_record(payload)
-                yield lsn, op, ids, matrix
-
-
 # ------------------------------------------------------- aggregator snapshots
 def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
     """Pin a consistent cut of one aggregator plus its serving session.
@@ -1289,7 +1237,6 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
             "salt": int(router.salt),
             "rebalance_threshold": float(engine.rebalance_threshold),
             "parallel": bool(engine.parallel),
-            "max_workers": engine._max_workers,
             "index_options": _encode_index_options(engine._index_options),
             "max_row_id": int(engine._max_row_id),
             "rebalances": int(engine.rebalances),
@@ -1316,7 +1263,6 @@ def _restore_sharded(
     engine.num_dims = int(payload["num_dims"])
     engine.rebalance_threshold = float(payload["rebalance_threshold"])
     engine.parallel = bool(payload["parallel"])
-    engine._max_workers = payload["max_workers"]
     engine._index_options = _decode_index_options(payload["index_options"])
     engine._executor = None
     engine._closed = False
@@ -1596,17 +1542,9 @@ _CAPTURE_BY_TYPE: List[Tuple[type, Callable]] = [
     (Top1Index, _capture_top1),
 ]
 
-def _restore_aggregator_kind(payload, arrays, _path, _mmap, _verify):
-    # Shard children are written with kind="aggregator"; exposing the kind
-    # through load_engine lets a worker process mmap-load exactly one shard's
-    # sub-snapshot without restoring its siblings.
-    return _restore_aggregator(payload, arrays)
-
-
 _RESTORE_BY_KIND: Dict[str, Callable] = {
     "sdindex": _restore_sdindex,
     "sharded": _restore_sharded,
-    "aggregator": _restore_aggregator_kind,
     "topk": _restore_topk,
     "top1": _restore_top1,
 }

@@ -223,7 +223,6 @@ class ShardedIndex:
         range_dim: Optional[int] = None,
         rebalance_threshold: float = _DEFAULT_SKEW_THRESHOLD,
         parallel: bool = True,
-        max_workers: Optional[int] = None,
         row_ids: Optional[Sequence[int]] = None,
         resilience: Optional["ResiliencePolicy"] = None,
         **index_options,
@@ -261,7 +260,6 @@ class ShardedIndex:
             range_dim = (self.attractive or self.repulsive)[0]
         self.rebalance_threshold = float(rebalance_threshold)
         self.parallel = bool(parallel)
-        self._max_workers = max_workers
         self._index_options = dict(index_options)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
@@ -587,10 +585,9 @@ class ShardedIndex:
                 "ShardedIndex is closed; its probe executor cannot be restarted"
             )
         if self._executor is None:
-            workers = self._max_workers or self.num_shards
+            # One thread per shard: a round probes each shard at most once.
             self._executor = ThreadPoolExecutor(
-                max_workers=max(1, min(workers, self.num_shards)),
-                thread_name_prefix="shard-probe",
+                max_workers=self.num_shards, thread_name_prefix="shard-probe"
             )
         return self._executor
 

@@ -58,11 +58,6 @@ class ServingConfig:
     max_in_flight: Optional[int] = None  #: per-tenant concurrent requests
     default_k: int = 10  #: ``k`` when the request omits it
     max_k: int = 1000  #: reject absurd ``k`` before it reaches the kernels
-    backend: str = "thread"  #: "thread" serves the index as-is; "process"
-    #: wraps a ShardedIndex in a ProcessShardedIndex (one worker process per
-    #: shard over mmap'd snapshots) that the server owns and closes.
-    data_dir: Optional[str] = None  #: snapshot/WAL dir for backend="process"
-    #: (None = private tempdir, removed on close)
 
 
 def _format_retry_after(seconds: float) -> str:
@@ -84,27 +79,6 @@ class SDQueryServer:
 
     def __init__(self, index, config: Optional[ServingConfig] = None) -> None:
         self.config = config or ServingConfig()
-        self._owned_engine = None
-        if self.config.backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process', got {self.config.backend!r}"
-            )
-        if self.config.backend == "process":
-            # Local import: the serving layer stays importable without the
-            # multiprocessing machinery, and "thread" servers never pay for it.
-            from repro.core.procserving import ProcessShardedIndex
-            from repro.core.sharding import ShardedIndex
-
-            if not isinstance(index, ProcessShardedIndex):
-                if not isinstance(index, ShardedIndex):
-                    raise TypeError(
-                        "backend='process' requires a ShardedIndex (or an "
-                        f"already-built ProcessShardedIndex), got {type(index).__name__}"
-                    )
-                index = ProcessShardedIndex.from_engine(
-                    index, path=self.config.data_dir
-                )
-                self._owned_engine = index
         self.index = index
         cache = (
             ResultCache(self.config.cache_capacity)
@@ -155,9 +129,6 @@ class SDQueryServer:
             await self._server.wait_closed()
             self._server = None
         await self.coalescer.close()
-        if self._owned_engine is not None:
-            self._owned_engine.close()
-            self._owned_engine = None
 
     async def __aenter__(self) -> "SDQueryServer":
         return self

@@ -59,36 +59,9 @@ def _build_sharded(data: np.ndarray, repulsive, attractive, **kwargs) -> Sharded
         "range_dim",
         "rebalance_threshold",
         "parallel",
-        "max_workers",
     }
     options = {key: value for key, value in kwargs.items() if key in allowed}
     return SDIndex.build_sharded(
-        data, repulsive=repulsive, attractive=attractive, **options
-    )
-
-
-def _build_procsharded(data: np.ndarray, repulsive, attractive, **kwargs):
-    """Multi-process sharded serving: one worker process per shard over
-    mmap'd snapshots (``repro.core.procserving``).  Imported lazily so the
-    registry stays cheap for the single-process algorithms."""
-    from repro.core.procserving import ProcessShardedIndex
-
-    allowed = {
-        "angles",
-        "branching",
-        "leaf_capacity",
-        "pairing",
-        "num_shards",
-        "partitioner",
-        "range_dim",
-        "parallel",
-        "max_workers",
-        "path",
-        "fsync",
-        "op_timeout",
-    }
-    options = {key: value for key, value in kwargs.items() if key in allowed}
-    return ProcessShardedIndex(
         data, repulsive=repulsive, attractive=attractive, **options
     )
 
@@ -117,7 +90,6 @@ def _build_seqscan_py(data: np.ndarray, repulsive, attractive, **kwargs) -> Pure
 ALGORITHM_BUILDERS: Dict[str, Callable] = {
     "SD-Index": _build_sd_index,
     "SD-Sharded": _build_sharded,
-    "SD-ProcSharded": _build_procsharded,
     "SeqScan": _build_seqscan,
     "SeqScan-py": _build_seqscan_py,
     "TA": _build_ta,

@@ -249,6 +249,46 @@ class TestShardProbeStorms:
         finally:
             engine.close()
 
+    def test_every_shard_down_answers_empty_then_heals(self):
+        """Every shard hard down, round after round: each call still returns
+        an explicitly empty answer whose bound covers the whole top-k, and
+        serving heals bit-identically once the storm stops."""
+        data = _dataset(seed=3, rows=200)
+        clock = FakeClock()
+        engine = _engine(
+            data, _policy(failure_threshold=1, reset_timeout=0.5, clock=clock)
+        )
+        oracle = SequentialScan(data, REPULSIVE, ATTRACTIVE)
+        queries = _queries(seed=15, count=4, k=3)
+        plane = FaultPlane([FaultRule("shard.probe")], seed=17)
+        downed = set()
+        try:
+            with faults.fault_plane(plane):
+                for _round in range(3):
+                    for query in queries:
+                        result = engine.query(query)
+                        _assert_sound(result, query, data)
+                        assert result.matches == []
+                        assert result.coverage.probed == ()
+                        assert result.coverage.covered_fraction == 0.0
+                        for shard, reason in result.coverage.skipped:
+                            assert reason in ("fault", "breaker_open")
+                            downed.add(shard)
+            assert plane.total_injections() > 0
+            states = [b["state"] for b in engine.breaker_stats()]
+            assert {s for s, state in enumerate(states) if state == "open"} == downed
+            # Storm over, breaker reset elapsed: bit-identical serving resumes.
+            clock.advance(1.0)
+            for query in queries:
+                healed = engine.query(query)
+                expect = oracle.query(query)
+                assert not healed.degraded
+                assert healed.row_ids == expect.row_ids
+                assert healed.scores == expect.scores
+            _assert_drained(engine)
+        finally:
+            engine.close()
+
     def test_same_seed_replays_the_same_storm(self):
         data = _dataset(seed=5)
 
@@ -348,6 +388,40 @@ class TestDeadlines:
             reasons = {reason for _, reason in result.coverage.skipped}
             assert reasons == {"deadline"}
             assert result.coverage.covered_fraction == 0.0
+            _assert_drained(engine)
+        finally:
+            engine.close()
+
+    def test_deadline_expiring_mid_serve_keeps_the_probed_shard_exact(self):
+        """The budget runs out in the second round of shard visits: the first
+        round's shard stays covered with exact matches, every shard still
+        standing is skipped with reason ``deadline``, and the bound covers
+        whatever the answer may be missing."""
+        data = _dataset(seed=19)
+        clock = FakeClock(0.0)
+        engine = _engine(data, _policy())
+        query = _queries(seed=16, count=1, k=8)[0]
+        # Every probe stalls one (fake) second, so the 1.5 s budget survives
+        # the first probe and is gone by the time the second one runs.
+        plane = FaultPlane(
+            [FaultRule("shard.probe", action="delay", delay_seconds=1.0)],
+            sleep=clock.advance,
+        )
+        try:
+            with faults.fault_plane(plane):
+                batch = engine.batch_query(
+                    np.asarray([query.point]),
+                    k=query.k,
+                    alpha=[query.alpha],
+                    beta=[query.beta],
+                    deadline=Deadline(1.5, clock=clock),
+                )
+            result = batch.results[0]
+            _assert_sound(result, query, data)
+            assert len(result.coverage.probed) == 1
+            assert len(result.matches) == query.k
+            reasons = {reason for _, reason in result.coverage.skipped}
+            assert reasons == {"deadline"}
             _assert_drained(engine)
         finally:
             engine.close()
@@ -534,6 +608,55 @@ class TestServingUnderFaults:
                     assert served.result.row_ids == expect.row_ids
                     assert served.result.scores == expect.scores
             assert plane.total_injections() > 0
+            _assert_drained(engine)
+        finally:
+            engine.close()
+
+    def test_http_reports_a_downed_shard_as_explicit_coverage(self):
+        """Over the wire a degraded answer is a 200 whose JSON body names the
+        shards that answered, the one skipped and why, and a bound on every
+        score the answer may be missing."""
+        from repro.serving.server import SDQueryServer, ServingClient, ServingConfig
+
+        data = _dataset(seed=27)
+        engine = _engine(data, _policy(failure_threshold=10_000))
+        queries = _queries(seed=18, count=3)
+        plane = FaultPlane([FaultRule("shard.probe", key=2)], seed=31)
+
+        async def scenario():
+            answers = []
+            async with SDQueryServer(engine, ServingConfig(tick_seconds=0.0)) as server:
+                host, port = await server.start()
+                async with ServingClient(host, port) as client:
+                    with faults.fault_plane(plane):
+                        for query in queries:
+                            answers.append(
+                                await client.query(
+                                    query.point,
+                                    k=query.k,
+                                    alpha=query.alpha,
+                                    beta=query.beta,
+                                )
+                            )
+            return answers
+
+        try:
+            answers = asyncio.run(scenario())
+            for query, (status, payload) in zip(queries, answers):
+                assert status == 200
+                assert payload["degraded"] is True
+                coverage = payload["coverage"]
+                assert coverage["total"] == NUM_SHARDS
+                assert coverage["probed"] == [0, 1, 3]
+                assert coverage["skipped"] == [[2, "fault"]]
+                assert coverage["covered_fraction"] == 0.75
+                table = _score_table(data, query)
+                for row, score in zip(payload["row_ids"], payload["scores"]):
+                    assert table[row] == score
+                top = sorted(table.items(), key=lambda item: (-item[1], item[0]))
+                for row, score in top[: query.k]:
+                    if row not in payload["row_ids"]:
+                        assert score <= coverage["score_bound"] + 1e-12
             _assert_drained(engine)
         finally:
             engine.close()

@@ -20,10 +20,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.baselines import SequentialScan
 from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.topk import TopKIndex
+from repro.faults import FaultPlane, FaultRule
 
 REPULSIVE = (0, 1)
 ATTRACTIVE = (2, 3)
@@ -382,6 +384,46 @@ class TestExecutorLifecycle:
                 engine.batch_query(
                     np.random.default_rng(8).random((4, NUM_DIMS)), k=50
                 )
+        finally:
+            engine.close()
+
+    def test_a_round_probes_every_shard_at_once(self):
+        """The probe pool has one thread per shard: a round that visits all
+        four shards runs their probes concurrently.  Each first probe waits
+        on a four-party barrier, which breaks (and fails the query) unless
+        all four are in flight together."""
+        data = np.random.default_rng(43).random((160, NUM_DIMS))
+        engine = ShardedIndex(
+            data,
+            repulsive=REPULSIVE,
+            attractive=ATTRACTIVE,
+            num_shards=4,
+            partitioner="range",
+        )
+        # One query inside each range shard of the attractive dimension 2,
+        # weighted towards it: each query's first visit is a different shard.
+        points = np.full((4, NUM_DIMS), 0.5)
+        points[:, 2] = [0.125, 0.375, 0.625, 0.875]
+        barrier = threading.Barrier(4)
+        plane = FaultPlane(
+            [
+                FaultRule("shard.probe", action="delay", key=shard, times=1)
+                for shard in range(4)
+            ],
+            sleep=lambda _seconds: barrier.wait(timeout=10),
+        )
+        try:
+            with faults.fault_plane(plane):
+                got = engine.batch_query(
+                    points, k=3, alpha=[(0.01, 0.01)] * 4, beta=[(1.0, 0.01)] * 4
+                )
+            assert plane.total_injections() == 4
+            expect = SequentialScan(data, REPULSIVE, ATTRACTIVE).batch_query(
+                points, k=3, alpha=[(0.01, 0.01)] * 4, beta=[(1.0, 0.01)] * 4
+            )
+            for mine, theirs in zip(got.results, expect.results):
+                assert mine.row_ids == theirs.row_ids
+                assert mine.scores == theirs.scores
         finally:
             engine.close()
 

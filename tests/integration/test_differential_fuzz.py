@@ -35,13 +35,11 @@ import shutil
 import tempfile
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import SequentialScan
 from repro.core.persistence import DurableIndex
-from repro.core.procserving import ProcessShardedIndex
 from repro.core.query import SDQuery
 from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex
@@ -58,20 +56,11 @@ LSM_OPTIONS = dict(flush_rows=24, fanout=2, background_compaction=False)
 class Harness:
     """One flat index, four sharded engines and a dict-backed oracle in lockstep.
 
-    ``process_shards`` adds multi-process sharded engines (one spawned worker
-    per shard over mmap'd snapshots) to the comparison set.  They are opt-in:
-    spawning a fleet per example is far too slow for the hypothesis test, so
-    only the deterministic scenarios pay for it.  A harness with process
-    members must be ``close()``d (worker processes and tempdirs).
+    ``durable=True`` adds a WAL-journaled member; such a harness must be
+    ``close()``d (its log and snapshot directory).
     """
 
-    def __init__(
-        self,
-        seed: int,
-        initial_rows: int,
-        process_shards: tuple = (),
-        durable: bool = False,
-    ) -> None:
+    def __init__(self, seed: int, initial_rows: int, durable: bool = False) -> None:
         self.rng = np.random.default_rng(seed)
         data = self.rng.random((initial_rows, NUM_DIMS))
         self.store = {row: data[row].copy() for row in range(initial_rows)}
@@ -89,16 +78,6 @@ class Harness:
                 **LSM_OPTIONS,
             )
             for num_shards in SHARD_COUNTS
-        ]
-        self.process = [
-            ProcessShardedIndex(
-                data,
-                repulsive=REPULSIVE,
-                attractive=ATTRACTIVE,
-                num_shards=num_shards,
-                partitioner="range" if num_shards == 2 else "hash",
-            )
-            for num_shards in process_shards
         ]
         self.durable = None
         self._durable_dir = None
@@ -118,8 +97,6 @@ class Harness:
         self.deleted_rows: list = []
 
     def close(self) -> None:
-        for engine in self.process:
-            engine.close()
         if self.durable is not None:
             self.durable.close()
         if self._durable_dir is not None:
@@ -128,7 +105,7 @@ class Harness:
     @property
     def _mutable_engines(self) -> list:
         extra = [self.durable] if self.durable is not None else []
-        return [*self.sharded, *self.process, *extra]
+        return [*self.sharded, *extra]
 
     # ------------------------------------------------------------------ ops
     def insert(self) -> None:
@@ -204,7 +181,6 @@ class Harness:
         engines = (
             [("flat", self.flat)]
             + [(f"sharded/{engine.num_shards}", engine) for engine in self.sharded]
-            + [(f"process/{engine.num_shards}", engine) for engine in self.process]
             + ([("durable", self.durable)] if self.durable is not None else [])
         )
         live = sorted(self.store)
@@ -251,10 +227,6 @@ class Harness:
             engine.batch_query(points, k=ks, alpha=alphas, beta=betas)
             for engine in self.sharded
         ]
-        process_batches = [
-            engine.batch_query(points, k=ks, alpha=alphas, beta=betas)
-            for engine in self.process
-        ]
         durable_batch = (
             self.durable.batch_query(points, k=ks, alpha=alphas, beta=betas)
             if self.durable is not None
@@ -279,10 +251,6 @@ class Harness:
                 *(
                     (f"sharded/{engine.num_shards}", batch[j])
                     for engine, batch in zip(self.sharded, shard_batches)
-                ),
-                *(
-                    (f"process/{engine.num_shards}", batch[j])
-                    for engine, batch in zip(self.process, process_batches)
                 ),
                 *(
                     [("durable", durable_batch[j])]
@@ -398,17 +366,17 @@ def test_thousand_interleaved_updates_stay_identical():
         harness.close()
 
 
-@pytest.mark.procserve
-def test_process_sharded_engines_agree_exactly():
-    """2- and 4-worker process fleets join the exact-agreement comparison set.
+def test_writes_after_mid_stream_rebalance_and_checkpoint_agree_exactly():
+    """Rebalances and a checkpoint mid-stream, then more writes, stay exact.
 
-    The same lockstep harness, now with multi-process engines: every update
-    flows through the WAL and is caught up by tail replay in the workers, and
-    snapshot flips (checkpoint, rebalance) happen mid-stream — answers must
-    stay bit-identical to the flat engine and the sequential-scan oracle
-    throughout, including the ``(-score, row_id)`` tie-break order.
+    Every sharded member rebalances (range layouts refit their quantiles,
+    hash layouts reshuffle under a new salt) and the durable member
+    checkpoints, which truncates the WAL it journals to; the inserts that
+    follow land under the new layouts.  Answers must stay bit-identical to
+    the flat engine and the sequential-scan oracle throughout, including the
+    ``(-score, row_id)`` tie-break order.
     """
-    harness = Harness(seed=20260808, initial_rows=120, process_shards=(2, 4))
+    harness = Harness(seed=20260808, initial_rows=120, durable=True)
     try:
         harness.check_queries()
         rng = np.random.default_rng(7)
@@ -425,14 +393,10 @@ def test_process_sharded_engines_agree_exactly():
             if step % 3 == 0:
                 harness.check_queries(num_queries=2)
         harness.delete_invalid()
-        # Snapshot flips mid-stream: checkpoint truncates the WAL tail the
-        # workers replay from; rebalance reshuffles shard membership.  Both
-        # are published as version flips and must not perturb any answer.
-        for engine in harness.process:
-            engine.checkpoint()
+        moved = [engine.rebalance() for engine in harness.sharded]
+        assert any(moved), "no rebalance moved a row; the scenario tests nothing"
+        harness.durable.checkpoint()
         harness.check_queries(num_queries=3)
-        for engine in harness.process:
-            engine.rebalance()
         harness.bulk_insert(10)
         harness.check_queries(num_queries=3)
         harness.check_population()

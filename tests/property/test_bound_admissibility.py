@@ -160,21 +160,3 @@ def test_sharded_engine_admissible_at_scale(
         _assert_no_topk_member_pruned(engine, data, queries)
     finally:
         engine.close()
-
-
-def test_process_engine_admissible_at_magnitude_scale():
-    """One deterministic pass through the multi-process engine at 1e10 scale
-    (fork-per-example is too heavy for hypothesis)."""
-    from repro.core.procserving import ProcessShardedIndex
-
-    data, points = _data_and_queries(seed=1234, rows=300, scale=1e10)
-    oracle = SequentialScan(data, REPULSIVE, ATTRACTIVE)
-    with ProcessShardedIndex(
-        data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=2
-    ) as engine:
-        got = engine.batch_query(points, k=7)
-        want = oracle.batch_query(points, k=7)
-        for mine, theirs in zip(got.results, want.results):
-            assert [(m.row_id, m.score) for m in mine.matches] == [
-                (m.row_id, m.score) for m in theirs.matches
-            ]

@@ -185,6 +185,50 @@ class TestSnapshotSurfaces:
         finally:
             engine.close()
 
+    def test_sharded_snapshot_versions_flip_on_write_and_rebalance(self):
+        """A write bumps only its shard's version; a rebalance publishes a new
+        topology.  A snapshot pinned before both keeps its versions and its
+        rows, and answers from them."""
+        rng = np.random.default_rng(41)
+        data = rng.random((120, 4))
+        engine = ShardedIndex(
+            data,
+            repulsive=REPULSIVE,
+            attractive=ATTRACTIVE,
+            num_shards=2,
+            partitioner="range",
+        )
+        try:
+            old = engine.snapshot()
+            topology, versions = old.topology_version, old.versions
+            row = engine.insert(np.full(4, 0.5))
+            target = engine.shard_of(row)
+            with engine.snapshot() as snap:
+                assert snap.topology_version == topology
+                changed = [s for s in range(2) if snap.versions[s] != versions[s]]
+                assert changed == [target]
+            # Crowd the top of the range dimension, then refit the ranges.
+            skewed = rng.random((60, 4))
+            skewed[:, 2] = rng.uniform(0.95, 1.0, size=60)
+            engine.bulk_insert(skewed)
+            assert engine.rebalance()
+            with engine.snapshot() as snap:
+                assert snap.topology_version > topology
+                assert len(snap) == 181
+            assert (old.topology_version, old.versions) == (topology, versions)
+            assert len(old) == 120
+            got = old.batch_query(data[:3], k=4)
+            expect = SequentialScan(data, REPULSIVE, ATTRACTIVE).batch_query(
+                data[:3], k=4
+            )
+            for mine, theirs in zip(got.results, expect.results):
+                assert mine.row_ids == theirs.row_ids
+                assert mine.scores == theirs.scores
+            old.close()
+            assert engine._topology.leak_report()["pinned_readers"] == 0
+        finally:
+            engine.close()
+
     def test_topk_snapshot_guards_and_query(self):
         rng = np.random.default_rng(38)
         data = rng.random((70, 2))

@@ -193,6 +193,15 @@ class TestDeadline:
         with pytest.raises(ValueError, match="budget"):
             Deadline(-0.1)
 
+    def test_nan_budget_rejected(self):
+        # NaN slips past ``budget < 0``: such a deadline never expires by
+        # its own clock, while asyncio fires a NaN timer with the next
+        # unrelated one.
+        with pytest.raises(ValueError, match="budget"):
+            Deadline(float("nan"))
+        with pytest.raises(ValueError, match="budget"):
+            Deadline.after(float("nan"))
+
     def test_no_timeout_is_a_singleton_sentinel(self):
         assert _NoTimeout() is NO_TIMEOUT
         assert repr(NO_TIMEOUT) == "NO_TIMEOUT"

@@ -520,6 +520,25 @@ def test_sharded_roundtrip(dataset, queries, tmp_path, partitioner, mmap):
     engine.close()
 
 
+def test_sharded_manifest_with_max_workers_still_loads(dataset, queries, tmp_path):
+    """Sharded manifests no longer record a ``max_workers`` probe-pool size
+    (the pool has one thread per shard); older ones that do still load."""
+    engine = ShardedIndex(
+        dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=2
+    )
+    expected = engine.batch_query(queries, k=5)
+    engine.save(tmp_path / "snap")
+    manifest_path = tmp_path / "snap" / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "max_workers" not in manifest["payload"]
+    manifest["payload"]["max_workers"] = 3
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = ShardedIndex.load(tmp_path / "snap")
+    same_answers(expected, loaded.batch_query(queries, k=5))
+    loaded.close()
+    engine.close()
+
+
 @pytest.mark.parametrize("mmap", [False, True])
 def test_topk_roundtrip(tmp_path, mmap):
     rng = np.random.default_rng(5)
@@ -907,8 +926,8 @@ class TestDurableIndex:
 # -------------------------------------------------------------- mmap lifecycle
 class TestMmapLifecycle:
     """File-handle discipline of mmap-loaded snapshots: ``close()`` drops the
-    maps (idempotently), so worker recycling / snapshot pruning never hits a
-    file-still-mapped error — and never unmaps under a live reader."""
+    maps (idempotently), so snapshot pruning never hits a file-still-mapped
+    error — and never unmaps under a live reader."""
 
     def _saved(self, dataset, tmp_path):
         index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
@@ -1002,37 +1021,3 @@ class TestMmapLifecycle:
         assert guard.num_maps > 0
         loaded.close()
         assert guard.closed and guard.leaked == 0
-
-
-class TestReadWalTail:
-    def test_tail_after_lsn(self, tmp_path):
-        from repro.core.persistence import read_wal_tail
-
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        point = np.asarray([[1.0, 2.0, 3.0, 4.0]])
-        wal.append(OP_INSERT, [7], point)
-        wal.append(OP_DELETE, [7])
-        wal.append(OP_BULK_INSERT, [8, 9], np.vstack([point, point * 2]))
-        wal.close()
-        records = list(read_wal_tail(tmp_path / "wal.log", after_lsn=1))
-        assert [(lsn, op, list(ids)) for lsn, op, ids, _m in records] == [
-            (2, OP_DELETE, [7]),
-            (3, OP_BULK_INSERT, [8, 9]),
-        ]
-        assert records[1][3].shape == (2, 4)
-
-    def test_reader_does_not_mutate_the_log(self, tmp_path):
-        """Unlike opening a WriteAheadLog (which truncates a torn tail), the
-        tail reader leaves the file bytes untouched — vital for workers that
-        replay the primary's live log."""
-        from repro.core.persistence import read_wal_tail
-
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append(OP_INSERT, [1], np.asarray([[1.0, 2.0, 3.0, 4.0]]))
-        wal.close()
-        blob = (tmp_path / "wal.log").read_bytes()
-        # A torn half-written record at the end: the reader stops cleanly.
-        (tmp_path / "wal.log").write_bytes(blob + b"\x01\x02\x03")
-        records = list(read_wal_tail(tmp_path / "wal.log", after_lsn=0))
-        assert [lsn for lsn, *_rest in records] == [1]
-        assert (tmp_path / "wal.log").read_bytes() == blob + b"\x01\x02\x03"

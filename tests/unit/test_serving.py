@@ -457,6 +457,25 @@ class TestHTTPServer:
         assert status == 504
         assert payload["timeout"] == pytest.approx(0.05)
 
+    def test_nan_timeout_is_a_400(self, small_index):
+        index, _oracle, _data = small_index
+
+        async def scenario():
+            async with SDQueryServer(index, ServingConfig(tick_seconds=0.0)) as server:
+                host, port = await server.start()
+                async with ServingClient(host, port) as client:
+                    # Python's json writes and reads a bare ``NaN`` token.
+                    body = {"point": [0.5] * 4, "k": 3, "timeout": float("nan")}
+                    nan = await client.request("POST", "/query", body)
+                    negative = await client.request(
+                        "POST", "/query", {**body, "timeout": -1}
+                    )
+            return nan, negative
+
+        nan, negative = asyncio.run(scenario())
+        assert nan[0] == 400 and "budget" in nan[1]["error"]
+        assert negative[0] == 400
+
     def test_embedded_submit_after_close_raises(self, small_index):
         index, _oracle, _data = small_index
 
@@ -516,6 +535,98 @@ class TestHTTPServer:
         assert payload["scores"] == expect.scores
         assert isinstance(payload["epoch"], list)  # (topology, *shard versions)
         assert len(payload["epoch"]) == 4
+
+    def test_sharded_answers_match_the_oracle_without_coalescing(self):
+        rng = np.random.default_rng(13)
+        data = rng.uniform(0, 1, size=(220, 4))
+        index = SDIndex.build_sharded(
+            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=2
+        )
+        oracle = SequentialScan(data, REPULSIVE, ATTRACTIVE)
+        queries = [_query(index, seed, k=5) for seed in (29, 30, 31)]
+
+        async def scenario():
+            config = ServingConfig(tick_seconds=None, coalesce=False)
+            async with SDQueryServer(index, config) as server:
+                host, port = await server.start()
+                async with ServingClient(host, port) as client:
+                    answers = [
+                        await client.query(q.point, k=q.k, alpha=q.alpha, beta=q.beta)
+                        for q in queries
+                    ]
+                    stats = await client.request("GET", "/stats")
+            return answers, stats
+
+        try:
+            answers, stats = asyncio.run(scenario())
+        finally:
+            index.close()
+        assert stats[0] == 200 and stats[1]["engine"] == "ShardedIndex"
+        for q, (status, payload) in zip(queries, answers):
+            expect = oracle.query(q)
+            assert status == 200
+            assert payload["row_ids"] == expect.row_ids
+            assert payload["scores"] == expect.scores
+            assert payload["degraded"] is False
+            assert payload["batch_size"] == 1
+
+    def test_sharded_write_between_requests_misses_the_cache(self):
+        """A write to one shard changes the ``(topology, *shard versions)``
+        epoch, so the repeated request is served afresh and sees the row."""
+        rng = np.random.default_rng(19)
+        data = rng.uniform(0, 1, size=(150, 4))
+        index = SDIndex.build_sharded(
+            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=3
+        )
+        point = [0.5, 0.5, 0.5, 0.5]
+        # Pure attraction to ``point``: the row inserted there ranks first.
+        weights = dict(alpha=[1e-9, 1e-9], beta=[1.0, 1.0])
+
+        async def scenario():
+            async with SDQueryServer(index, ServingConfig(tick_seconds=0.0)) as server:
+                host, port = await server.start()
+                async with ServingClient(host, port) as client:
+                    before = await client.query(point, k=3, **weights)
+                    repeat = await client.query(point, k=3, **weights)
+                    index.insert(point, row_id=10_000)
+                    after = await client.query(point, k=3, **weights)
+            return before, repeat, after
+
+        try:
+            before, repeat, after = asyncio.run(scenario())
+        finally:
+            index.close()
+        assert before[0] == repeat[0] == after[0] == 200
+        assert repeat[1]["cached"] and repeat[1]["epoch"] == before[1]["epoch"]
+        assert not after[1]["cached"]
+        assert after[1]["epoch"] != before[1]["epoch"]
+        assert after[1]["row_ids"][0] == 10_000
+        assert 10_000 not in before[1]["row_ids"]
+
+    def test_server_leaves_the_engine_open_for_its_owner(self):
+        """The server serves the engine it is handed and never closes it:
+        after shutdown the caller's engine still answers, bit-identically."""
+        rng = np.random.default_rng(23)
+        data = rng.uniform(0, 1, size=(180, 4))
+        index = SDIndex.build_sharded(
+            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=2
+        )
+        oracle = SequentialScan(data, REPULSIVE, ATTRACTIVE)
+        q = _query(index, 37, k=3)
+
+        async def scenario():
+            async with SDQueryServer(index, ServingConfig(tick_seconds=0.0)) as server:
+                return await server.submit(q.point, k=q.k, alpha=q.alpha, beta=q.beta)
+
+        try:
+            served = asyncio.run(scenario())
+            assert not index.closed
+            after = index.query(q)
+        finally:
+            index.close()
+        expect = oracle.query(q)
+        assert served.result.row_ids == after.row_ids == expect.row_ids
+        assert served.result.scores == after.scores == expect.scores
 
 
 class TestNoTimeoutSentinel:

@@ -112,6 +112,25 @@ class TestRegistry:
         index = build_algorithm("SD-Index", data, [0, 1], [2, 3], angles=[0, 45, 90], branching=4)
         assert index.stats().num_angles == 3
 
+    def test_sharded_options_forwarded_and_unknown_ones_dropped(self, rng):
+        data = rng.random((100, 4))
+        # ``max_workers`` is not a ShardedIndex option: the allow-list drops it.
+        engine = build_algorithm(
+            "SD-Sharded",
+            data,
+            [0, 1],
+            [2, 3],
+            num_shards=3,
+            partitioner="range",
+            max_workers=2,
+        )
+        try:
+            assert engine.num_shards == 3
+            assert engine.router.partitioner == "range"
+            assert sum(engine.shard_sizes()) == 100
+        finally:
+            engine.close()
+
 
 class TestRunnerAndReporting:
     def test_time_queries_summary(self, rng):
