@@ -5,11 +5,13 @@ What a restart costs is the whole reason the persistence subsystem exists
 (DESIGN.md section 7), so this benchmark measures exactly that:
 
 * **Cold rebuild vs snapshot load vs mmap load.**  Building the SD-Index from
-  the raw matrix builds and flattens one projection tree per dimension pair
-  for the serving session; loading a snapshot restores the flattened serving
-  arrays directly (no tree is built: neither serving nor WAL replay needs
-  the legacy pair trees); ``load(mmap=True)`` maps them and touches pages on
-  demand.  All three must answer the probe batch bit-identically — the
+  the raw matrix lays out each dimension pair's flat view straight from
+  sorted arrays (no projection tree is built) and computes every leaf's
+  per-angle bounds from the points; loading a snapshot reads the stored
+  bounds back and rebuilds the rest of the serving arrays with gathers and
+  scatters (no tree either: neither serving nor WAL replay needs the legacy
+  pair trees); ``load(mmap=True)`` maps the one data file and touches pages
+  on demand.  All three must answer the probe batch bit-identically — the
   speedups are only reported if the answers match.
 * **WAL replay throughput.**  A recovery is a snapshot load plus a replay of
   the journaled tail; ops/second of the replay bounds how much un-checkpointed

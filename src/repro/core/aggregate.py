@@ -724,7 +724,7 @@ class SubproblemAggregator:
         """Tear down the aggregator and release any memory-mapped snapshot.
 
         Idempotent.  Engines restored with ``load(..., mmap=True)`` keep the
-        snapshot's ``.npy`` files mapped; close drops every internal reference
+        snapshot's data files mapped; close drops every internal reference
         to the mapped arrays (serving state, pair trees, sorted columns) and
         then releases the maps through the attached
         :class:`~repro.core.persistence.MmapGuard`, so snapshot-directory

@@ -7,18 +7,22 @@ build.  This module adds the standard database pairing of *checkpoints* plus a
 Report and ProvSQL's persistence of derived state alongside base data,
 PAPERS.md):
 
-* **Snapshots.**  :func:`save_engine` serializes an engine — the flattened
-  session arrays (:class:`~repro.core.batch._FlatTree` leaf arrays, validity
-  masks, per-angle bounds), the aggregator's retired ids and row-id
-  high-water mark, the projection-tree / angular-partition parameters and,
-  for :class:`~repro.core.sharding.ShardedIndex`, the router rule plus one
-  sub-manifest per shard — into a directory of raw ``.npy`` payloads under a
-  JSON manifest carrying a format version and per-file checksums.
-  :func:`load_engine` restores the engine; ``mmap=True`` memory-maps every
-  array for a near-instant warm start (the expensive projection trees are
-  not rebuilt: the vectorized serving path, updates, WAL replay, flushes and
+* **Snapshots.**  :func:`save_engine` serializes an engine into a directory
+  holding one packed data file (``arrays.bin``) and a JSON manifest that
+  carries the format version, the engine's parameters and bookkeeping, and
+  every array's 64-byte-aligned offset, dtype, shape and CRC32.  Format v2
+  stores only what a load cannot rebuild: per LSM level the row ids, the
+  matrix and the live mask, and per dimension pair the x-order permutation,
+  the leaf sizes and the per-angle leaf bounds (the expensive part); plus
+  the delta, the retired ids and, for
+  :class:`~repro.core.sharding.ShardedIndex`, the router rule and one
+  sub-snapshot per shard.  :func:`load_engine` reads the file once (or
+  ``mmap=True`` maps it), rebuilds every other kernel array with gathers,
+  scatters and ``reduceat`` and restores the engine.  No projection tree is
+  built: the vectorized serving path, updates, WAL replay, flushes and
   merges run straight off the restored arrays, and only a legacy query or
-  ``stats()`` builds the trees).
+  ``stats()`` builds the trees.  Format v1 snapshots (one ``.npy`` file per
+  array) still load; nothing writes them.
 * **Write-ahead log.**  :class:`WriteAheadLog` journals ``insert`` /
   ``delete`` / ``bulk_insert`` / ``bulk_delete`` / ``rebalance`` records,
   length-prefixed and CRC-checksummed, with an fsync-on-commit policy knob.
@@ -46,6 +50,8 @@ from __future__ import annotations
 
 import gc
 import json
+import math
+import mmap as _mmap
 import os
 import shutil
 import struct
@@ -59,8 +65,8 @@ import numpy as np
 
 from repro import faults
 from repro.core.aggregate import RetiredIds, SubproblemAggregator
-from repro.core.angles import AngleGrid
-from repro.core.batch import SessionState, _FlatTree
+from repro.core.angles import AngleGrid, refine_angles
+from repro.core.batch import _BOUND_GRID_REFINE, SessionState, _FlatTree
 from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
 from repro.core.isoline import Envelope, EnvelopeSide
@@ -83,15 +89,20 @@ __all__ = [
 ]
 
 #: Snapshot format version written by this build; readers accept exactly the
-#: versions they know.  Bump on any incompatible layout change and keep the
-#: golden fixture of every shipped version loading (tests/golden).
-FORMAT_VERSION = 1
+#: versions they know (:data:`_READABLE_VERSIONS`).  Bump on any incompatible
+#: layout change and keep the golden fixture of every shipped version loading
+#: (tests/golden).
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 MANIFEST_NAME = "MANIFEST.json"
-ARRAY_DIR = "arrays"
+#: The one data file of a format-v2 snapshot directory.
+DATA_NAME = "arrays.bin"
 CURRENT_NAME = "CURRENT"
 WAL_NAME = "wal.log"
 
+#: Every array of a data file starts at a multiple of this many bytes.
+_ALIGN = 64
 _CHUNK = 1 << 20
 
 
@@ -108,9 +119,9 @@ class SnapshotFormatError(RuntimeError):
 #: recovery — not a retry — is the mitigation; crash tests install a plane
 #: that kills the process at the nth hit of one point.
 for _point, _about in (
-    ("snapshot.array.written", "one array file written, before its fsync"),
-    ("snapshot.manifest.before", "arrays durable, manifest not yet written"),
-    ("snapshot.manifest.written", "manifest written, before its fsync"),
+    ("snapshot.array.written", "one array appended to the data file, before its one fsync"),
+    ("snapshot.manifest.before", "data file durable, manifest not yet written"),
+    ("snapshot.manifest.written", "manifest renamed into place and its directory fsynced"),
     ("wal.append.written", "WAL record appended, before the WAL fsync"),
     ("wal.append.synced", "WAL record fsynced, before the caller resumes"),
     ("wal.rotate.written", "rotated WAL written to its temp file"),
@@ -152,26 +163,9 @@ def _crc_of_file(path: Path) -> int:
             crc = zlib.crc32(block, crc)
 
 
-class _CrcWriter:
-    """File proxy accumulating CRC32 and byte count as ``np.save`` streams.
-
-    Saves the checkpoint from re-reading every array it just wrote: the
-    manifest checksum is computed on the single write pass.
-    """
-
-    def __init__(self, handle) -> None:
-        self._handle = handle
-        self.crc = 0
-        self.size = 0
-
-    def write(self, data) -> int:
-        written = self._handle.write(data)
-        self.crc = zlib.crc32(data, self.crc)
-        self.size += written
-        return written
-
-    def __getattr__(self, name):
-        return getattr(self._handle, name)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _angle_exact(cos: float, sin: float) -> Angle:
@@ -180,11 +174,15 @@ def _angle_exact(cos: float, sin: float) -> Angle:
     The public constructor re-normalizes ``(cos, sin)``, which can perturb the
     last ulp; scores computed through a restored angle must match the
     pre-checkpoint engine bit for bit, so restore bypasses the normalization.
+    ``radians`` is ``math.atan2`` of the stored components, as the constructor
+    computes it (``np.arctan2`` can differ from it in the last ulp), so a
+    bound grid refined from a restored partition grid equals the one the
+    checkpointed leaf bounds were computed on.
     """
     angle = Angle.__new__(Angle)
     object.__setattr__(angle, "cos", float(cos))
     object.__setattr__(angle, "sin", float(sin))
-    object.__setattr__(angle, "_radians", float(np.arctan2(sin, cos)))
+    object.__setattr__(angle, "_radians", math.atan2(float(sin), float(cos)))
     return angle
 
 
@@ -266,29 +264,36 @@ class _Capture:
 
 
 def _write_capture(capture: _Capture, path: Path, extra: Optional[Dict] = None) -> None:
-    """Stream a capture into ``path``: arrays first, the manifest last.
+    """Stream a capture into ``path``: one packed data file, the manifest last.
 
-    The manifest is the commit point — a crash mid-stream leaves a directory
-    without a (valid) manifest, which every loader rejects loudly.
+    Every array is appended to :data:`DATA_NAME` at a 64-byte-aligned offset
+    and checksummed on that one write pass; the file is fsynced once.  The
+    manifest lists each array's extent, dtype, shape and CRC32 and is the
+    commit point — a crash mid-stream leaves a directory without a (valid)
+    manifest, which every loader rejects loudly.  The directory fsync after
+    the manifest's rename also makes the data file's entry durable, so a
+    committed manifest never names a data file a power failure can lose.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    (path / ARRAY_DIR).mkdir(exist_ok=True)
-    files: Dict[str, Dict[str, Any]] = {}
-    for name, array in capture.arrays.items():
-        rel = f"{ARRAY_DIR}/{name}.npy"
-        full = path / rel
-        with open(full, "wb") as handle:
-            writer = _CrcWriter(handle)
-            np.save(writer, np.asarray(array))
-            _fsync_file(handle)
-        faults.fire("snapshot.array.written")
-        files[name] = {"file": rel, "bytes": writer.size, "crc32": writer.crc}
-    # The array *files* are durable; their directory entries need their own
-    # fsync, or a power failure after the checkpoint commits (and prunes the
-    # previous snapshot) could leave CURRENT pointing at a snapshot with no
-    # arrays — permanently unrecoverable.
-    _fsync_dir(path / ARRAY_DIR)
+    extents: Dict[str, Dict[str, Any]] = {}
+    end = 0
+    with open(path / DATA_NAME, "wb") as handle:
+        for name, array in capture.arrays.items():
+            array = np.ascontiguousarray(array)
+            offset = -(-end // _ALIGN) * _ALIGN
+            handle.write(bytes(offset - end))
+            handle.write(array)
+            end = offset + array.nbytes
+            extents[name] = {
+                "offset": offset,
+                "bytes": array.nbytes,
+                "dtype": array.dtype.str,
+                "shape": list(array.shape),
+                "crc32": zlib.crc32(array),
+            }
+            faults.fire("snapshot.array.written")
+        _fsync_file(handle)
     children: Dict[str, str] = {}
     for name, child in capture.children.items():
         _write_capture(child, path / name)
@@ -297,7 +302,8 @@ def _write_capture(capture: _Capture, path: Path, extra: Optional[Dict] = None) 
         "format_version": FORMAT_VERSION,
         "engine": capture.kind,
         "payload": capture.meta,
-        "arrays": files,
+        "data_bytes": end,
+        "arrays": extents,
         "children": children,
         "extra": dict(extra or {}),
     }
@@ -323,10 +329,10 @@ def _read_manifest(path: Path) -> Dict[str, Any]:
     except (OSError, ValueError) as exc:
         raise SnapshotFormatError(f"unreadable snapshot manifest: {exc}") from exc
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise SnapshotFormatError(
             f"unsupported snapshot format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads versions {', '.join(map(str, _READABLE_VERSIONS))})"
         )
     return manifest
 
@@ -334,15 +340,16 @@ def _read_manifest(path: Path) -> Dict[str, Any]:
 class MmapGuard:
     """Tracks the ``mmap.mmap`` handles behind one ``load_engine(mmap=True)``.
 
-    ``np.load(mmap_mode="r")`` keeps a file descriptor and an address-space
-    mapping alive for every array, and on this platform ``mmap.close()``
-    succeeds even while a numpy view still points into the mapping — a later
-    read through such a view is a dangling-pointer crash, not an exception.
-    The guard therefore holds *weak* references to the loaded arrays next to
-    their raw maps: :meth:`close` only unmaps regions whose arrays are
-    provably dead (after a ``gc.collect()`` to break the epoch/session
-    reference cycles) and counts every still-referenced mapping as *leaked*
-    instead of pulling the pages out from under a live reader.
+    A format-v2 load maps each data file once and every restored array of
+    that file is a view of one root array over the map; a format-v1 load
+    (``np.load(mmap_mode="r")``) maps every array file on its own.  Closing a
+    map under a live view must never happen: a later read through the view
+    would be a dangling-pointer crash, not an exception.  The guard therefore
+    holds a *weak* reference to each map's root array next to the raw map:
+    :meth:`close` only unmaps regions whose root is provably dead (after a
+    ``gc.collect()`` to break the epoch/session reference cycles; every view
+    keeps its root alive) and counts every still-referenced mapping as
+    *leaked* instead of pulling the pages out from under a live reader.
 
     Engines loaded with ``mmap=True`` carry their guard as ``_mmap_guard``
     and close it from their own ``close()``; calling :meth:`close` twice is
@@ -350,14 +357,16 @@ class MmapGuard:
     """
 
     def __init__(self) -> None:
-        self._maps: List[Tuple[Any, Any]] = []  # (weakref-to-array, mmap.mmap)
+        self._maps: List[Tuple[Any, Any]] = []  # (weakref-to-root, mmap.mmap)
         self._closed = False
         self._registered = 0
         self.leaked = 0
 
-    def register(self, array: np.ndarray) -> None:
-        """Track one freshly-mapped array (no-op for non-memmap arrays)."""
-        handle = getattr(array, "_mmap", None)
+    def register(self, array: np.ndarray, handle: Any = None) -> None:
+        """Track one mapped root array and its map (a v1 ``np.memmap``
+        carries its own; a no-op for arrays that map nothing)."""
+        if handle is None:
+            handle = getattr(array, "_mmap", None)
         if handle is not None:
             self._maps.append((weakref.ref(array), handle))
             self._registered += 1
@@ -408,11 +417,116 @@ _ACTIVE_GUARD = threading.local()
 def _load_arrays(
     path: Path, manifest: Dict[str, Any], mmap: bool, verify: Optional[bool]
 ) -> Dict[str, np.ndarray]:
-    """Load every manifest-listed array, validating sizes (always) and
-    checksums (by default only for full loads — an mmap load exists to avoid
-    touching every page; pass ``verify=True`` to force the full check)."""
+    """Load every manifest-listed array, read-only, validating sizes (always)
+    and checksums (by default only for full loads — an mmap load exists to
+    avoid touching every page; pass ``verify=True`` to force the full check)."""
     if verify is None:
         verify = not mmap
+    if manifest["format_version"] == 1:
+        return _load_npy_files(path, manifest, mmap, verify)
+    return _load_packed(path, manifest, mmap, verify)
+
+
+def _extents(
+    entries: Dict[str, Any], size: int
+) -> Dict[str, Tuple[int, int, np.dtype, Tuple[int, ...], int]]:
+    """``(offset, bytes, dtype, shape, crc32)`` of every array of a data file.
+
+    Raises :class:`SnapshotFormatError` for an entry whose dtype and shape
+    disagree with its byte count, an extent that is misaligned or runs past
+    the end of the ``size``-byte file, and extents that overlap: no view is
+    ever made over bytes the manifest does not vouch for.
+    """
+    extents = {}
+    for name, entry in entries.items():
+        try:
+            offset = int(entry["offset"])
+            nbytes = int(entry["bytes"])
+            dtype = np.dtype(str(entry["dtype"]))
+            shape = tuple(int(n) for n in entry["shape"])
+            crc = int(entry["crc32"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotFormatError(
+                f"snapshot array {name} has a malformed manifest entry: {exc!r}"
+            ) from exc
+        if (
+            dtype.kind not in "biuf"
+            or any(n < 0 for n in shape)
+            or math.prod(shape) * dtype.itemsize != nbytes
+        ):
+            raise SnapshotFormatError(
+                f"snapshot array {name}: dtype {dtype.str} and shape {shape} "
+                f"disagree with its {nbytes} bytes"
+            )
+        if offset < 0 or offset % _ALIGN or offset + nbytes > size:
+            raise SnapshotFormatError(
+                f"snapshot array {name} extent [{offset}, {offset + nbytes}) is "
+                f"misaligned or runs past the end of the {size}-byte data file"
+            )
+        extents[name] = (offset, nbytes, dtype, shape, crc)
+    spans = sorted(
+        (offset, offset + nbytes, name) for name, (offset, nbytes, *_) in extents.items()
+    )
+    for (_start, end, first), (start, _end, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise SnapshotFormatError(
+                f"snapshot arrays {first} and {second} overlap in the data file"
+            )
+    return extents
+
+
+def _load_packed(
+    path: Path, manifest: Dict[str, Any], mmap: bool, verify: bool
+) -> Dict[str, np.ndarray]:
+    """Every array of a format-v2 snapshot's one data file, read-only.
+
+    A plain load reads the file once, front to back, each extent straight
+    into its own array, and checks the CRC32s in memory; arrays a restore
+    only derives from are then freed on their own.  ``mmap=True`` maps the
+    file read-only instead: every array is a view of one root array over the
+    map, which the guard of the running load tracks.
+    """
+    full = Path(path) / DATA_NAME
+    if not full.is_file():
+        raise SnapshotFormatError(f"snapshot data file missing: {full}")
+    size = os.path.getsize(full)
+    if size != manifest.get("data_bytes"):
+        raise SnapshotFormatError(
+            f"snapshot data file {full} truncated or resized: {size} bytes on "
+            f"disk, {manifest.get('data_bytes')} in manifest"
+        )
+    extents = sorted(_extents(manifest["arrays"], size).items(), key=lambda item: item[1][0])
+    arrays: Dict[str, np.ndarray] = {}
+    if mmap and size:
+        with open(full, "rb") as handle:
+            mapping = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
+        whole = np.frombuffer(mapping, dtype=np.uint8)
+        guard = getattr(_ACTIVE_GUARD, "guard", None)
+        if guard is not None:
+            guard.register(whole, mapping)
+        for name, (offset, nbytes, dtype, shape, _crc) in extents:
+            arrays[name] = whole[offset : offset + nbytes].view(dtype).reshape(shape)
+    else:
+        with open(full, "rb") as handle:
+            for name, (offset, nbytes, dtype, shape, _crc) in extents:
+                array = np.empty(shape, dtype=dtype)
+                handle.seek(offset)
+                if handle.readinto(array) != nbytes:
+                    raise SnapshotFormatError(
+                        f"snapshot data file {full} truncated while reading {name}"
+                    )
+                arrays[name] = _frozen(array)
+    if verify:
+        for name, (_offset, _nbytes, _dtype, _shape, crc) in extents:
+            if zlib.crc32(arrays[name]) != crc:
+                raise SnapshotFormatError(f"snapshot array {name} failed its checksum")
+    return arrays
+
+
+def _load_npy_files(
+    path: Path, manifest: Dict[str, Any], mmap: bool, verify: bool
+) -> Dict[str, np.ndarray]:
+    """The format-v1 reader: one ``.npy`` file per manifest-listed array."""
     arrays: Dict[str, np.ndarray] = {}
     for name, entry in manifest["arrays"].items():
         full = Path(path) / entry["file"]
@@ -824,9 +938,6 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
                 "reflattens": int(session.reflattens),
                 "patched_inserts": int(session.patched_inserts),
                 "patched_deletes": int(session.patched_deletes),
-                "num_live": int(state.num_live),
-                "appended": int(state.appended),
-                "tombstoned": int(state.tombstoned),
                 "kind": "lsm",
                 "flush_rows": int(session.flush_rows),
                 "fanout": int(session.fanout),
@@ -840,30 +951,8 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
         # A layered world: per-level execution states plus the delta.
         # Everything below the meta is immutable once pinned, so the
         # array assembly streams after the lock drops.
-        capture.meta["levels"] = [
-            {
-                "seq": int(level.seq),
-                "num_live": int(level.state.num_live),
-                "appended": int(level.state.appended),
-                "tombstoned": int(level.state.tombstoned),
-                "pair_flats": [
-                    {
-                        "rep_dim": int(rep),
-                        "att_dim": int(att),
-                        "num_leaves": int(flat.num_leaves),
-                        "appended": int(flat.appended),
-                        "dead": int(flat.dead),
-                    }
-                    for rep, att, flat in level.state.pairs
-                ],
-            }
-            for level in state.levels
-        ]
-        capture.meta["column_dims"] = (
-            [int(dim) for dim in state.levels[0].state.col_values]
-            if state.levels
-            else [int(dim) for dim in agg._column_dims]
-        )
+        capture.meta["levels"] = [{"seq": int(level.seq)} for level in state.levels]
+        capture.meta["bound_grid_refine"] = _BOUND_GRID_REFINE
         deleted = agg._retired.array()
     except BaseException:
         capture.close()
@@ -871,67 +960,55 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
         raise
     agg.write_lock.release()
     capture.arrays["deleted"] = deleted
-    _capture_lsm_arrays(agg, state, capture.arrays)
+    try:
+        _capture_lsm_arrays(state, capture.arrays)
+    except BaseException:
+        capture.close()
+        raise
     return capture
 
 
-def _capture_pair_arrays(
-    arrays: Dict[str, np.ndarray],
-    prefix: str,
-    flat: _FlatTree,
-    leaf_of_position: np.ndarray,
-) -> None:
-    arrays[f"{prefix}_rows"] = flat.rows
-    arrays[f"{prefix}_x"] = flat.x
-    arrays[f"{prefix}_y"] = flat.y
-    arrays[f"{prefix}_live"] = flat.live
-    arrays[f"{prefix}_leaf_bounds"] = flat.leaf_bounds
-    arrays[f"{prefix}_leaf_min_x"] = flat.leaf_min_x
-    arrays[f"{prefix}_leaf_max_x"] = flat.leaf_max_x
-    arrays[f"{prefix}_leaf_min_y"] = flat.leaf_min_y
-    arrays[f"{prefix}_leaf_max_y"] = flat.leaf_max_y
-    arrays[f"{prefix}_leaf_of_pos"] = flat.leaf_of_pos
-    arrays[f"{prefix}_grid_cos"] = flat.grid_cos
-    arrays[f"{prefix}_grid_sin"] = flat.grid_sin
-    arrays[f"{prefix}_grid_rad"] = flat.grid_rad
-    arrays[f"{prefix}_leaf_of_position"] = leaf_of_position
+def _x_order(state: SessionState, flat: _FlatTree, width) -> np.ndarray:
+    """The level position of each of ``flat``'s x-ordered rows: the
+    permutation the pair was laid out with.
 
-
-def _capture_lsm_arrays(
-    agg: SubproblemAggregator, world: LsmWorld, arrays: Dict[str, np.ndarray]
-) -> None:
-    """Arrays of one pinned :class:`LsmWorld` (levels verbatim, delta verbatim).
-
-    The top-level ``rows``/``matrix`` are the world's *live* rows concatenated
-    in level order, and the top-level sorted columns are sorted from them.
-    Format v1 keeps these arrays, but restore reads none of them: the levels
-    and the delta are the row store.
+    Sorting ``flat.rows`` lines them up with ``state.sorted_rows``, whose
+    positions ``state.row_order`` names.  A level's row ids are unique, so
+    any argsort (the default one is the fastest) gives the same order.
     """
-    live_rows = world.live_row_ids()
-    live_matrix = world.live_matrix() if world.num_live else np.empty(
-        (0, agg._num_dims), dtype=float
-    )
-    arrays["rows"] = live_rows
-    arrays["matrix"] = live_matrix
-    arrays["live"] = np.ones(len(live_rows), dtype=bool)
-    for dim in agg._column_dims:
-        order = np.argsort(live_matrix[:, dim], kind="stable").astype(np.int64)
-        arrays[f"col{dim}_values"] = np.ascontiguousarray(live_matrix[order, dim])
-        arrays[f"col{dim}_positions"] = order
+    order = np.empty(len(flat.rows), dtype=width)
+    order[np.argsort(flat.rows)] = state.row_order
+    return order
+
+
+def _capture_lsm_arrays(world: LsmWorld, arrays: Dict[str, np.ndarray]) -> None:
+    """The arrays of one pinned :class:`LsmWorld` that a load cannot rebuild.
+
+    Per level: the row ids, the matrix and the live mask; per pair: the
+    x-order permutation (int32 while positions fit), the leaf sizes and the
+    per-angle leaf bounds.  Every other kernel array is rebuilt at load by
+    :func:`_rebuild_level`.  That relies on a level's pairs being laid out in
+    bulk and never patched (only a ``TopKIndex`` appends to or tombstones a
+    flat view), which is checked here rather than stored.  The delta is
+    stored verbatim.
+    """
     for i, level in enumerate(world.levels):
         state = level.state
         arrays[f"lvl{i}_rows"] = state.rows
         arrays[f"lvl{i}_matrix"] = state.matrix
         arrays[f"lvl{i}_live"] = state.live
-        arrays[f"lvl{i}_row_order"] = state.row_order
-        arrays[f"lvl{i}_sorted_rows"] = state.sorted_rows
+        width = np.int32 if len(state.rows) <= np.iinfo(np.int32).max else np.int64
         for p, (_rep, _att, flat) in enumerate(state.pairs):
-            _capture_pair_arrays(
-                arrays, f"lvl{i}_pair{p}", flat, state.pair_leaf_of_position[p]
+            if flat.appended or flat.dead or not flat.live.all():
+                raise RuntimeError(
+                    f"level {level.seq} pair {p} was patched in place; a level's "
+                    "pairs are laid out in bulk and never patched"
+                )
+            arrays[f"lvl{i}_pair{p}_order"] = _x_order(state, flat, width)
+            arrays[f"lvl{i}_pair{p}_sizes"] = np.bincount(
+                flat.leaf_of_pos, minlength=flat.num_leaves
             )
-        for dim in state.col_values:
-            arrays[f"lvl{i}_col{dim}_values"] = state.col_values[dim]
-            arrays[f"lvl{i}_col{dim}_positions"] = state.col_positions[dim]
+            arrays[f"lvl{i}_pair{p}_leaf_bounds"] = flat.leaf_bounds
     arrays["delta_rows"] = world.delta.rows
     arrays["delta_matrix"] = world.delta.matrix
     arrays["delta_live"] = world.delta.live
@@ -980,20 +1057,22 @@ def _restore_flat_tree(
 
 
 def _restore_aggregator(
-    payload: Dict[str, Any], arrays: Dict[str, np.ndarray]
+    manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]
 ) -> SubproblemAggregator:
     """Rebuild an aggregator plus its serving session from checkpoint arrays.
 
-    The serving session's world is restored verbatim (every kernel input
-    byte-for-byte as checkpointed) and published as the session's first epoch;
-    it is the aggregator's row store, so no per-row bookkeeping is rebuilt.
-    The aggregator's pair trees and sorted columns stay unbuilt, as on a
-    freshly built engine: updates, WAL replay, flushes and merges never need
-    them, and the first legacy query or ``stats()`` builds them from the live
-    rows, so the checkpointed top-level sorted-column arrays are not read.
-    Payload keys of retired engine modes (``concurrency``, ``compaction``) are
-    ignored.
+    The serving session's world is restored with every kernel input
+    byte-for-byte as checkpointed (format v2 rebuilds the derivable ones
+    from the stored ones, format v1 stored them all) and published as the
+    session's first epoch; it is the aggregator's row store, so no per-row
+    bookkeeping is rebuilt.  The aggregator's pair trees and sorted columns
+    stay unbuilt, as on a freshly built engine: updates, WAL replay, flushes
+    and merges never need them, and the first legacy query or ``stats()``
+    builds them from the live rows, so a v1 snapshot's top-level arrays are
+    not read.  Payload keys of retired engine modes (``concurrency``,
+    ``compaction``) are ignored.
     """
+    payload = manifest["payload"]
     agg = SubproblemAggregator.__new__(SubproblemAggregator)
     agg._lsm_options = dict(payload.get("lsm_options", {"background": True}))
     agg._write_lock = threading.RLock()
@@ -1011,8 +1090,7 @@ def _restore_aggregator(
     )
 
     # The restored world is the row store; only the retired ids and the
-    # high-water mark ride beside it (the top-level ``rows``/``matrix`` are
-    # not read).
+    # high-water mark ride beside it.
     agg._retired = RetiredIds(arrays["deleted"])
     agg._max_row_id = int(payload["max_row_id"])
     agg._mutations = int(payload["mutations"])
@@ -1029,63 +1107,143 @@ def _restore_aggregator(
     agg._serving_session = None
     agg._closed = False
 
-    session = _restore_lsm_session(agg, payload, arrays)
+    session = _restore_lsm_session(agg, manifest["format_version"], payload, arrays)
     agg._serving_session = session
     agg._register_session(session)
     return agg
 
 
-def _restore_session_state(
-    agg: SubproblemAggregator,
-    pair_flats: List[Dict[str, Any]],
-    arrays: Dict[str, np.ndarray],
-    prefix: str,
-    meta: Dict[str, Any],
-    scored: set,
+def _bound_grid(agg: SubproblemAggregator, refine: int):
+    """The bound grid of every pair of ``agg``: its angles and frozen
+    ``(cos, sin, radians)`` arrays, derived from the partition grid exactly
+    as :meth:`~repro.core.batch._FlatTree._index_leaves` derives them."""
+    angles = refine_angles(tuple(agg.angle_grid), refine)
+    return angles, tuple(
+        _frozen(np.array([getattr(angle, part) for angle in angles]))
+        for part in ("cos", "sin", "radians")
+    )
+
+
+def _rebuild_level(
+    agg: SubproblemAggregator, arrays: Dict[str, np.ndarray], prefix: str, grid
 ) -> SessionState:
-    """One frozen execution state from ``{prefix}rows``/``{prefix}pair{p}_*``."""
+    """One level's execution state from the arrays format v2 stores.
+
+    The file holds the level's rows, matrix and live mask and, per pair, the
+    x-order permutation, the leaf sizes and the leaf bounds.  Every other
+    kernel array is a gather, scatter, ``np.repeat``, ``reduceat`` or
+    argsort over those, the same operations
+    :meth:`~repro.core.batch.QuerySession._state_from_rows` builds them with,
+    so each equals the checkpointed array byte for byte; all are frozen like
+    the stored ones.
+    """
+    angles, (grid_cos, grid_sin, grid_rad) = grid
     rows = arrays[f"{prefix}rows"]
     matrix = arrays[f"{prefix}matrix"]
+    live = arrays[f"{prefix}live"]
+    count = len(rows)
+    if matrix.shape != (count, agg._num_dims) or live.shape != (count,):
+        raise SnapshotFormatError(f"snapshot level {prefix!r} arrays disagree in shape")
+    # The ids are unique, so the default argsort gives the stable one's order.
+    row_order = _frozen(np.argsort(rows))
+    all_live = _frozen(np.ones(count, dtype=bool))
     pairs: List[Tuple[int, int, _FlatTree]] = []
     leaf_of_position: List[np.ndarray] = []
-    for p, flat_meta in enumerate(pair_flats):
-        flat = _restore_flat_tree(arrays, f"{prefix}pair{p}", flat_meta)
-        pairs.append((int(flat_meta["rep_dim"]), int(flat_meta["att_dim"]), flat))
-        leaf_of_position.append(arrays[f"{prefix}pair{p}_leaf_of_position"])
+    for p, (rep_dim, att_dim) in enumerate(agg.pairing.pairs):
+        by_x = arrays[f"{prefix}pair{p}_order"].astype(np.intp)
+        sizes = arrays[f"{prefix}pair{p}_sizes"]
+        bounds = arrays[f"{prefix}pair{p}_leaf_bounds"]
+        if (
+            by_x.shape != (count,)
+            or sizes.sum() != count
+            or bounds.shape != (len(sizes), len(angles), 4)
+        ):
+            raise SnapshotFormatError(
+                f"snapshot level {prefix!r} pair {p} arrays disagree in shape"
+            )
+        flat = _FlatTree.__new__(_FlatTree)
+        flat.angles = angles
+        flat.grid_cos, flat.grid_sin, flat.grid_rad = grid_cos, grid_sin, grid_rad
+        flat.rows = _frozen(rows[by_x])
+        flat.x = _frozen(matrix[by_x, att_dim])
+        flat.y = _frozen(matrix[by_x, rep_dim])
+        flat.live = all_live
+        flat.num_leaves = len(sizes)
+        flat.leaf_of_pos = _frozen(np.repeat(np.arange(len(sizes), dtype=np.int64), sizes))
+        flat.leaf_bounds = bounds
+        starts = np.cumsum(sizes) - sizes
+        flat.leaf_min_x, flat.leaf_max_x, flat.leaf_min_y, flat.leaf_max_y = (
+            _frozen(extreme.reduceat(values, starts))
+            for extreme, values in (
+                (np.minimum, flat.x),
+                (np.maximum, flat.x),
+                (np.minimum, flat.y),
+                (np.maximum, flat.y),
+            )
+        )
+        flat.appended = 0
+        flat.dead = 0
+        flat._pos_of_row = None
+        position_leaf = np.empty(count, dtype=np.int64)
+        position_leaf[by_x] = flat.leaf_of_pos
+        pairs.append((rep_dim, att_dim, flat))
+        leaf_of_position.append(_frozen(position_leaf))
+    col_values: Dict[int, np.ndarray] = {}
+    col_positions: Dict[int, np.ndarray] = {}
+    for dim in agg._column_dims:
+        order = np.argsort(matrix[:, dim], kind="stable")
+        col_values[dim] = _frozen(matrix[order, dim])
+        col_positions[dim] = _frozen(order.astype(np.int64))
+    num_live = int(np.count_nonzero(live))
     return SessionState(
         rows=rows,
         matrix=matrix,
-        live=arrays[f"{prefix}live"],
-        num_live=int(meta["num_live"]),
-        row_order=arrays[f"{prefix}row_order"],
-        sorted_rows=arrays[f"{prefix}sorted_rows"],
-        columns_by_dim={dim: matrix[:, dim] for dim in scored},
+        live=live,
+        num_live=num_live,
+        row_order=row_order,
+        sorted_rows=_frozen(rows[row_order]),
+        columns_by_dim={
+            dim: matrix[:, dim] for dim in set(agg.repulsive) | set(agg.attractive)
+        },
         pairs=pairs,
         pair_leaf_of_position=leaf_of_position,
-        col_values={
-            int(dim): arrays[f"{prefix}col{dim}_values"] for dim in meta["column_dims"]
-        },
-        col_positions={
-            int(dim): arrays[f"{prefix}col{dim}_positions"]
-            for dim in meta["column_dims"]
-        },
-        appended=int(meta["appended"]),
-        tombstoned=int(meta["tombstoned"]),
+        col_values=col_values,
+        col_positions=col_positions,
+        tombstoned=count - num_live,
     )
+
+
+def _relaid_level(
+    session: LsmSession, arrays: Dict[str, np.ndarray], prefix: str, seq: int
+) -> Level:
+    """A format-v1 level laid out afresh from its rows, matrix and live mask.
+
+    Format v1 stored every kernel array, and a pre-LSM snapshot's pairs were
+    patched in place, which no level's pairs ever are; laying the level out
+    as a flush does keeps that invariant (format v2 relies on it) and gives
+    bit-identical answers.
+    """
+    state = session._state_from_rows(arrays[f"{prefix}rows"], arrays[f"{prefix}matrix"])
+    dead = np.flatnonzero(~np.asarray(arrays[f"{prefix}live"], dtype=bool))
+    level = Level(seq, state)
+    return level.with_tombstones(dead) if len(dead) else level
 
 
 def _restore_lsm_session(
     agg: SubproblemAggregator,
+    version: int,
     payload: Dict[str, Any],
     arrays: Dict[str, np.ndarray],
 ) -> LsmSession:
     """Rebuild the :class:`LsmSession` publishing the checkpointed world.
 
-    Every level's arrays restore verbatim (mmap-able, immutable); the delta's
-    row-id lookup structures are recomputed from its arrays (cheap — the delta
-    is bounded by the flush threshold).  A pre-LSM ("flat") snapshot holds one
-    execution state: it restores as level 1 of a world with an empty delta,
-    under the aggregator's (by default the stock) flush and fanout options.
+    Format v2 levels are rebuilt from their stored arrays, byte-for-byte as
+    checkpointed (:func:`_rebuild_level`); format v1 levels are laid out
+    afresh (:func:`_relaid_level`).  The delta's row-id lookup structures are
+    recomputed from its arrays (cheap — the delta is bounded by the flush
+    threshold).  A pre-LSM ("flat", format v1) snapshot holds one execution
+    state: it restores as level 1 of a world with an empty delta, under the
+    aggregator's (by default the stock) flush and fanout options.
     """
     meta = payload["session"]
     scored = set(agg.repulsive) | set(agg.attractive)
@@ -1102,7 +1260,6 @@ def _restore_lsm_session(
     session._maintain_lock = threading.Lock()
     session._compactor = None
     session._maintenance_error = None
-    column_dims = payload["column_dims"]
 
     if meta.get("kind") != "lsm":
         options = agg._lsm_options
@@ -1113,16 +1270,10 @@ def _restore_lsm_session(
         session.compactions = 0
         session.delta_absorbed_deletes = 0
         session._next_seq = 2
-        state = _restore_session_state(
-            agg,
-            payload["pair_flats"],
-            arrays,
-            "",
-            {**meta, "column_dims": column_dims},
-            scored,
+        level = _relaid_level(session, arrays, "", 1)
+        session.epochs.publish(
+            LsmWorld((level,), DeltaState.empty(agg._num_dims, scored))
         )
-        world = LsmWorld((Level(1, state),), DeltaState.empty(agg._num_dims, scored))
-        session.epochs.publish(world)
         return session
 
     session.flush_rows = int(meta["flush_rows"])
@@ -1132,17 +1283,17 @@ def _restore_lsm_session(
     session.compactions = int(meta["compactions"])
     session.delta_absorbed_deletes = int(meta["delta_absorbed_deletes"])
     session._next_seq = int(meta["next_seq"])
-    levels = []
-    for i, level_meta in enumerate(payload["levels"]):
-        state = _restore_session_state(
-            agg,
-            level_meta["pair_flats"],
-            arrays,
-            f"lvl{i}_",
-            {**level_meta, "column_dims": column_dims},
-            scored,
-        )
-        levels.append(Level(int(level_meta["seq"]), state))
+    if version == 1:
+        levels = [
+            _relaid_level(session, arrays, f"lvl{i}_", int(level_meta["seq"]))
+            for i, level_meta in enumerate(payload["levels"])
+        ]
+    else:
+        grid = _bound_grid(agg, int(payload["bound_grid_refine"]))
+        levels = [
+            Level(int(level_meta["seq"]), _rebuild_level(agg, arrays, f"lvl{i}_", grid))
+            for i, level_meta in enumerate(payload["levels"])
+        ]
 
     delta_rows = np.asarray(arrays["delta_rows"], dtype=np.int64)
     delta_matrix = np.asarray(arrays["delta_matrix"], dtype=float)
@@ -1171,10 +1322,10 @@ def _capture_sdindex(index: SDIndex) -> _Capture:
 
 
 def _restore_sdindex(
-    payload: Dict[str, Any], arrays: Dict[str, np.ndarray], _path, _mmap, _verify
+    manifest: Dict[str, Any], arrays: Dict[str, np.ndarray], _path, _mmap, _verify
 ) -> SDIndex:
     index = SDIndex.__new__(SDIndex)
-    index._aggregator = _restore_aggregator(payload, arrays)
+    index._aggregator = _restore_aggregator(manifest, arrays)
     index.repulsive = index._aggregator.repulsive
     index.attractive = index._aggregator.attractive
     index.num_dims = index._aggregator._num_dims
@@ -1211,10 +1362,10 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
     """One consistent cut of the whole sharded engine.
 
     Holding the engine writer lock excludes every mutation path (updates and
-    rebalances all serialize on it), so the topology, the live row->shard
-    assignment (read from the shards, vectorized), the engine bookkeeping and
-    each shard's pinned session epoch are captured at one point in time; the
-    per-shard array streams run after the lock drops.
+    rebalances all serialize on it), so the topology, the router rule, the
+    engine bookkeeping and each shard's pinned session epoch are captured at
+    one point in time; the per-shard array streams run after the lock drops.
+    No row->shard map is stored: each shard's world says which rows it holds.
     """
     if engine.closed:
         raise RuntimeError("ShardedIndex is closed")
@@ -1223,7 +1374,6 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
     try:
         topology = engine._topology.current_state()
         router = topology.router
-        assigned_rows, assigned_shards = engine.assignments()
         capture.meta = {
             "repulsive": list(engine.repulsive),
             "attractive": list(engine.attractive),
@@ -1241,8 +1391,6 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
             "max_row_id": int(engine._max_row_id),
             "rebalances": int(engine.rebalances),
         }
-        capture.arrays["router_rows"] = assigned_rows
-        capture.arrays["router_shards"] = assigned_shards
         capture.arrays["deleted"] = engine._retired.array()
         for s, shard in enumerate(topology.shards):
             capture.children[f"shard-{s}"] = _capture_aggregator(shard)
@@ -1255,8 +1403,9 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
 
 
 def _restore_sharded(
-    payload: Dict[str, Any], arrays: Dict[str, np.ndarray], path, mmap, verify
+    manifest: Dict[str, Any], arrays: Dict[str, np.ndarray], path, mmap, verify
 ) -> ShardedIndex:
+    payload = manifest["payload"]
     engine = ShardedIndex.__new__(ShardedIndex)
     engine.repulsive = tuple(int(d) for d in payload["repulsive"])
     engine.attractive = tuple(int(d) for d in payload["attractive"])
@@ -1292,8 +1441,8 @@ def _restore_sharded(
         else np.asarray(payload["boundaries"], dtype=float),
     )
     router.salt = int(payload["salt"])
-    # ``router_rows``/``router_shards`` are not read: each shard's restored
-    # world says which rows it holds.
+    # Each shard's restored world says which rows it holds (a v1 snapshot's
+    # ``router_rows``/``router_shards`` are not read).
     shards = []
     for s in range(router.num_shards):
         child_dir = Path(path) / f"shard-{s}"
@@ -1304,7 +1453,7 @@ def _restore_sharded(
                 f"{child_manifest['engine']!r} payload, expected an aggregator"
             )
         child_arrays = _load_arrays(child_dir, child_manifest, mmap, verify)
-        shards.append(_restore_aggregator(child_manifest["payload"], child_arrays))
+        shards.append(_restore_aggregator(child_manifest, child_arrays))
     engine._topology = EpochManager()
     engine._topology.publish(_ShardTopology(router, tuple(shards)))
     return engine
@@ -1375,8 +1524,9 @@ def _capture_topk(index: TopKIndex) -> _Capture:
 
 
 def _restore_topk(
-    payload: Dict[str, Any], arrays: Dict[str, np.ndarray], _path, _mmap, _verify
+    manifest: Dict[str, Any], arrays: Dict[str, np.ndarray], _path, _mmap, _verify
 ) -> TopKIndex:
+    payload = manifest["payload"]
     index = TopKIndex.__new__(TopKIndex)
     index.angle_grid = _grid_from_payload(payload["angles"])
     flat = _restore_flat_tree(arrays, "flat", payload["flat"])
@@ -1480,8 +1630,9 @@ def _capture_top1(index: Top1Index) -> _Capture:
 
 
 def _restore_top1(
-    payload: Dict[str, Any], arrays: Dict[str, np.ndarray], _path, _mmap, _verify
+    manifest: Dict[str, Any], arrays: Dict[str, np.ndarray], _path, _mmap, _verify
 ) -> Top1Index:
+    payload = manifest["payload"]
     index = Top1Index.__new__(Top1Index)
     index.angle = _angle_exact(payload["cos"], payload["sin"])
     index.k = int(payload["k"])
@@ -1575,10 +1726,11 @@ def save_engine(engine, path, extra: Optional[Dict] = None) -> Path:
 def load_engine(path, mmap: bool = False, verify: Optional[bool] = None, expect: Optional[str] = None):
     """Load an engine snapshot written by :func:`save_engine`.
 
-    ``mmap=True`` memory-maps the arrays (read-only) for a near-instant warm
-    start; updates then route through the copy-on-write patch path.  ``verify``
-    forces (or skips) the per-file checksum pass — the default checks on full
-    loads and trusts sizes alone under mmap.  ``expect`` pins the engine kind
+    A plain load reads each data file once; ``mmap=True`` memory-maps it
+    (read-only) instead, and updates then route through the copy-on-write
+    patch path.  ``verify`` forces (or skips) the per-array checksum pass —
+    the default checks on full loads and trusts sizes and extents alone
+    under mmap.  ``expect`` pins the engine kind
     (the facade ``load`` classmethods use it) and raises
     :class:`SnapshotFormatError` on a mismatch.
     """
@@ -1595,7 +1747,7 @@ def load_engine(path, mmap: bool = False, verify: Optional[bool] = None, expect:
         raise SnapshotFormatError(f"unknown engine kind {kind!r} in {path}") from None
     if not mmap:
         arrays = _load_arrays(path, manifest, mmap, verify)
-        return restore(manifest["payload"], arrays, path, mmap, verify)
+        return restore(manifest, arrays, path, mmap, verify)
     # Collect every mapping (including nested per-shard loads) into one guard
     # so the engine's close() can release the file handles afterwards.
     guard = MmapGuard()
@@ -1603,7 +1755,7 @@ def load_engine(path, mmap: bool = False, verify: Optional[bool] = None, expect:
     _ACTIVE_GUARD.guard = guard
     try:
         arrays = _load_arrays(path, manifest, mmap, verify)
-        engine = restore(manifest["payload"], arrays, path, mmap, verify)
+        engine = restore(manifest, arrays, path, mmap, verify)
     finally:
         _ACTIVE_GUARD.guard = previous
     engine._mmap_guard = guard
@@ -1677,7 +1829,7 @@ class DurableIndex:
     Layout of ``path``::
 
         CURRENT           -> name of the active snapshot directory
-        snapshot-000001/  -> MANIFEST.json + arrays/*.npy (+ shard-*/)
+        snapshot-000001/  -> MANIFEST.json + arrays.bin (+ shard-*/)
         wal.log           -> length-prefixed, checksummed mutation journal
 
     Mutations apply to the engine and append to the WAL before they are

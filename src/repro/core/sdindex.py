@@ -304,11 +304,13 @@ class SDIndex:
     def save(self, path) -> None:
         """Write a durable snapshot of this index at ``path`` (a directory).
 
-        The snapshot holds the flattened serving-session arrays, the
-        retired row ids and the build parameters, versioned and
-        checksummed (DESIGN.md section 7).  Checkpointing pins the current
-        serving epoch, so concurrent writers keep running while the arrays
-        stream out.  Restore with :meth:`load`; wrap the index in a
+        The snapshot is one packed data file plus a versioned manifest
+        that checksums every array (format v2, DESIGN.md section 7): per
+        LSM level the rows, matrix and live mask and, per dimension pair,
+        the x-order permutation, leaf sizes and leaf bounds; the delta; the
+        retired row ids; and the build parameters.  Checkpointing pins the
+        current serving epoch, so concurrent writers keep running while the
+        arrays stream out.  Restore with :meth:`load`; wrap the index in a
         :class:`repro.core.persistence.DurableIndex` for a write-ahead log
         and crash recovery between snapshots.
         """
@@ -318,14 +320,17 @@ class SDIndex:
 
     @classmethod
     def load(cls, path, mmap: bool = False, verify: Optional[bool] = None) -> "SDIndex":
-        """Load a snapshot written by :meth:`save`.
+        """Load a snapshot written by :meth:`save` (format v2, or v1).
 
-        ``mmap=True`` memory-maps the arrays for a near-instant warm start
-        (no projection tree is rebuilt: only a legacy query or :meth:`stats`
-        builds the pair trees); updates after an mmap load go to the delta
-        and to copied validity masks, never the mapped file.  Raises
+        A plain load reads the data file once and checks its checksums;
+        ``mmap=True`` maps it instead.  Either way the serving arrays a
+        snapshot does not store are rebuilt from the stored ones with
+        gathers and scatters, and no projection tree is built (only a
+        legacy query or :meth:`stats` builds the pair trees).  Updates
+        after an mmap load go to the delta and to copied validity masks,
+        never the mapped file.  Raises
         :class:`repro.core.persistence.SnapshotFormatError` on an unknown
-        format version or a failed checksum.
+        format version, a failed checksum or a malformed manifest.
         """
         from repro.core.persistence import load_engine
 

@@ -978,10 +978,11 @@ class ShardedIndex:
         """Write a durable snapshot of the whole sharded engine at ``path``.
 
         The root manifest records the router (partitioner, boundaries and
-        salt), the live row->shard assignment and the engine bookkeeping; every
-        shard streams its own sub-snapshot (``shard-<s>/`` with its own
-        manifest), captured as one consistent cut under the writer lock with
-        per-shard epochs pinned — writers resume while the arrays stream.
+        salt) and the engine bookkeeping; every shard streams its own
+        sub-snapshot (``shard-<s>/`` with its own data file and manifest,
+        whose world says which rows the shard holds), captured as one
+        consistent cut under the writer lock with per-shard epochs pinned —
+        writers resume while the arrays stream.
         """
         from repro.core.persistence import save_engine
 

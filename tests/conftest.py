@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.baselines import SequentialScan
+from repro.core.persistence import DATA_NAME, MANIFEST_NAME
 from repro.core.query import SDQuery
 from repro.faults import FaultPlane
 
@@ -60,3 +64,15 @@ class CallbackPlane(FaultPlane):
 
     def fire(self, point: str, key=None) -> None:
         self._callback(point)
+
+
+def snapshot_extent(snapshot_dir, name: str):
+    """``(data file, offset, byte count)`` of one array of a format-v2 snapshot.
+
+    Corruption tests flip or cut bytes inside exactly that array's extent of
+    the packed data file the manifest describes.
+    """
+    snapshot_dir = Path(snapshot_dir)
+    manifest = json.loads((snapshot_dir / MANIFEST_NAME).read_text())
+    entry = manifest["arrays"][name]
+    return snapshot_dir / DATA_NAME, int(entry["offset"]), int(entry["bytes"])

@@ -1,11 +1,12 @@
-"""Golden snapshot-format regression: format v1 must load forever.
+"""Golden snapshot-format regression: every shipped format must load forever.
 
-The committed fixture (``tests/fixtures/golden_snapshot_v1/``) is a small
-durable SD-Index — checkpointed snapshot plus a WAL tail — written at format
-version 1, with the exact expected answers stored as ``float.hex`` strings.
-Every future build must recover it bit-identically; a failure here is a
-backward-compatibility break, never something to fix by regenerating the
-fixture (see ``tests/fixtures/make_golden_snapshot.py``).
+The committed fixtures (``tests/fixtures/golden_snapshot_v<N>/``, one per
+format version) are the same small durable SD-Index — checkpointed snapshot
+plus a WAL tail — written at that version, with the exact expected answers
+stored as ``float.hex`` strings.  Every future build must recover each of
+them bit-identically; a failure here is a backward-compatibility break, never
+something to fix by regenerating a fixture (see
+``tests/fixtures/make_golden_snapshot.py``).
 
 Also locks the typed-error contract: unknown format versions and checksum
 mismatches must raise :class:`SnapshotFormatError`, not load garbage.
@@ -22,29 +23,47 @@ import pytest
 
 from repro.baselines import SequentialScan
 from repro.core.lsm import LsmSession
-from repro.core.persistence import DurableIndex, SnapshotFormatError
+from repro.core.persistence import FORMAT_VERSION, DurableIndex, SnapshotFormatError
 
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "golden_snapshot_v1"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+VERSIONS = (1, 2)
+
+
+def copy_store(version: int, tmp_path) -> Path:
+    """A writable copy (recovery appends to the WAL; the fixture is read-only)."""
+    target = tmp_path / "store"
+    shutil.copytree(FIXTURES / f"golden_snapshot_v{version}" / "store", target)
+    return target
 
 
 @pytest.fixture
 def store(tmp_path):
-    """A writable copy (recovery appends to the WAL; the fixture is read-only)."""
-    target = tmp_path / "store"
-    shutil.copytree(FIXTURE / "store", target)
-    return target
+    return copy_store(1, tmp_path)
+
+
+def load_expected(version: int):
+    path = FIXTURES / f"golden_snapshot_v{version}" / "expected.json"
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 @pytest.fixture(scope="module")
 def expected():
-    with open(FIXTURE / "expected.json", "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    return load_expected(1)
+
+
+def test_the_current_version_has_a_fixture():
+    assert FORMAT_VERSION in VERSIONS
+    assert (FIXTURES / f"golden_snapshot_v{FORMAT_VERSION}").is_dir()
 
 
 @pytest.mark.parametrize("mmap", [False, True])
-def test_golden_v1_recovers_bit_identically(store, expected, mmap):
+@pytest.mark.parametrize("version", VERSIONS)
+def test_golden_recovers_bit_identically(tmp_path, version, mmap):
+    store = copy_store(version, tmp_path)
+    expected = load_expected(version)
     recovered = DurableIndex.recover(store, mmap=mmap)
-    assert recovered.last_recovery["extra"] == {"fixture": "golden-v1"}
+    assert recovered.last_recovery["extra"] == {"fixture": f"golden-v{version}"}
     assert recovered.last_recovery["replayed"] == 6  # the committed WAL tail
     queries = np.asarray(expected["queries"], dtype=float)
     answers = recovered.batch_query(queries, k=expected["k"])
@@ -60,7 +79,7 @@ def test_golden_v1_unknown_version_rejected(store):
     current = (store / "CURRENT").read_text().strip()
     manifest_path = store / current / "MANIFEST.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 2
+    manifest["format_version"] = FORMAT_VERSION + 1
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(SnapshotFormatError, match="version"):
         DurableIndex.recover(store)

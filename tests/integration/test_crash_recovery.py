@@ -6,7 +6,8 @@ The recovery invariant under test: after a crash at *any* point —
   records),
 * a process killed (``os._exit``) at named fault points inside an append or a
   checkpoint, via subprocess drivers that install a callback fault plane,
-* a truncated or bit-flipped snapshot array, a missing or mangled manifest —
+* a truncated or bit-flipped array extent of a snapshot's data file, a
+  missing or mangled manifest —
 
 ``DurableIndex.recover`` either yields an engine whose top-k answers are
 bit-identical to an uncrashed in-memory oracle that applied exactly the
@@ -39,6 +40,7 @@ from repro.core.persistence import (
 )
 from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex
+from tests.conftest import snapshot_extent
 
 pytestmark = pytest.mark.crash
 
@@ -156,19 +158,16 @@ def test_flipped_byte_before_tail_is_loud(scenario):
 
 
 # -------------------------------------------------------- snapshot corruption
-def find_array_file(snapshot_dir: Path, name: str) -> Path:
-    return snapshot_dir / "arrays" / f"{name}.npy"
-
-
 def current_snapshot(path: Path) -> Path:
     return path / (path / CURRENT_NAME).read_text().strip()
 
 
 def test_truncated_snapshot_array(scenario):
     path, _store, _ops, _queries = scenario
-    target = find_array_file(current_snapshot(path), "matrix")
+    # Cut the data file 64 bytes short of the end of the level matrix.
+    target, offset, size = snapshot_extent(current_snapshot(path), "lvl0_matrix")
     blob = target.read_bytes()
-    target.write_bytes(blob[: len(blob) - 64])
+    target.write_bytes(blob[: offset + size - 64])
     for mmap in (False, True):
         with pytest.raises(SnapshotFormatError, match="truncated"):
             DurableIndex.recover(path, mmap=mmap)
@@ -176,13 +175,15 @@ def test_truncated_snapshot_array(scenario):
 
 def test_bitflipped_snapshot_array(scenario):
     path, _store, _ops, _queries = scenario
-    # "rows" exists in both session layouts (flat and LSM worlds).
-    target = find_array_file(current_snapshot(path), "rows")
+    target, offset, size = snapshot_extent(current_snapshot(path), "lvl0_rows")
     blob = bytearray(target.read_bytes())
-    blob[-9] ^= 0x40
+    blob[offset + size - 9] ^= 0x40
     target.write_bytes(bytes(blob))
     with pytest.raises(SnapshotFormatError, match="checksum"):
         DurableIndex.recover(path)
+    # mmap recoveries skip the checksum pass by default but honor verify=True.
+    with pytest.raises(SnapshotFormatError, match="checksum"):
+        DurableIndex.recover(path, mmap=True, verify=True)
 
 
 def test_missing_manifest(scenario):

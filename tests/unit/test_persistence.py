@@ -36,7 +36,7 @@ from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.top1 import Top1Index
 from repro.core.topk import TopKIndex
-from tests.conftest import CallbackPlane
+from tests.conftest import CallbackPlane, snapshot_extent
 
 REPULSIVE = (0, 1)
 ATTRACTIVE = (2, 3)
@@ -590,6 +590,186 @@ def test_top1_roundtrip(tmp_path, k):
     )
 
 
+# ------------------------------------------------------------ format v2 layout
+LEVEL_ARRAYS = ("rows", "matrix", "live", "row_order", "sorted_rows")
+PAIR_ARRAYS = (
+    "rows",
+    "x",
+    "y",
+    "live",
+    "leaf_bounds",
+    "leaf_min_x",
+    "leaf_max_x",
+    "leaf_min_y",
+    "leaf_max_y",
+    "leaf_of_pos",
+    "grid_cos",
+    "grid_sin",
+    "grid_rad",
+)
+
+
+def kernel_arrays(engine):
+    """Every array the read kernels use, of every level of every aggregator."""
+    if isinstance(engine, ShardedIndex):
+        aggregators = [engine.shard(s) for s in range(engine.num_shards)]
+    else:
+        aggregators = [engine.aggregator]
+    arrays = {}
+    for a, aggregator in enumerate(aggregators):
+        world = aggregator.serving_session().epochs.current_state()
+        for i, level in enumerate(world.levels):
+            state = level.state
+            key = f"shard{a}/level{i}"
+            for name in LEVEL_ARRAYS:
+                arrays[f"{key}/{name}"] = getattr(state, name)
+            for p, (_rep, _att, flat) in enumerate(state.pairs):
+                for name in PAIR_ARRAYS:
+                    arrays[f"{key}/pair{p}/{name}"] = getattr(flat, name)
+                arrays[f"{key}/pair{p}/leaf_of_position"] = state.pair_leaf_of_position[p]
+            for dim, column in state.columns_by_dim.items():
+                arrays[f"{key}/column{dim}"] = column
+            for dim in state.col_values:
+                arrays[f"{key}/col{dim}_values"] = state.col_values[dim]
+                arrays[f"{key}/col{dim}_positions"] = state.col_positions[dim]
+    return arrays
+
+
+def _fresh_engine(dataset):
+    return SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+
+
+def _stormed_engine(dataset):
+    index = SDIndex.build(
+        dataset,
+        repulsive=REPULSIVE,
+        attractive=ATTRACTIVE,
+        flush_rows=16,
+        fanout=8,
+        background_compaction=False,
+    )
+    rng = np.random.default_rng(31)
+    inserted = []
+    for step in range(60):
+        if step % 4 == 3:
+            # Alternately a built row and the oldest surviving inserted one.
+            index.delete(inserted.pop(0) if step % 8 == 7 else step * 7)
+        else:
+            inserted.append(index.insert(rng.random(4)))
+    layout = index.query_session().structure()
+    assert len(layout["levels"]) >= 3 and layout["delta_live"] > 0
+    assert all(level["tombstoned"] for level in layout["levels"][:2])
+    return index
+
+
+def _rebalanced_engine(dataset):
+    engine = ShardedIndex(
+        dataset,
+        repulsive=REPULSIVE,
+        attractive=ATTRACTIVE,
+        num_shards=3,
+        partitioner="range",
+    )
+    engine.bulk_insert(np.random.default_rng(32).random((90, 4)) * 0.2)
+    engine.delete(11)
+    engine.rebalance()
+    return engine
+
+
+def _shuffled_ids_engine(dataset):
+    # Five dimensions, one attractive left unpaired: the level keeps a
+    # sorted column for it, and the shuffled ids make row_order a real
+    # permutation.  The grid's inner angles are ones whose np.arctan2 and
+    # math.atan2 radians differ in the last ulp, so the refined bound grid
+    # only matches if a restore takes radians as the Angle constructor does.
+    data = np.hstack([dataset, np.random.default_rng(33).random((len(dataset), 1))])
+    ids = np.random.default_rng(34).permutation(len(data)) * 7 + 5
+    index = SDIndex.build(
+        data,
+        repulsive=(0, 1),
+        attractive=(2, 3, 4),
+        row_ids=ids,
+        angles=(0.0, 11.7, 30.5, 52.1, 90.0),
+    )
+    index.delete(int(ids[9]))
+    return index
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize(
+    "make",
+    [_fresh_engine, _stormed_engine, _rebalanced_engine, _shuffled_ids_engine],
+    ids=["fresh", "storm", "sharded-rebalanced", "shuffled-ids"],
+)
+def test_load_gives_back_every_kernel_array_byte_for_byte(dataset, queries, tmp_path, make, mmap):
+    """Format v2 stores only what a load cannot rebuild; what a load rebuilds
+    must equal the saved engine's arrays in bytes and dtype, read-only."""
+    engine = make(dataset)
+    engine.save(tmp_path / "snap")
+    assert sorted(p.name for p in (tmp_path / "snap").iterdir() if p.is_file()) == [
+        "MANIFEST.json",
+        "arrays.bin",
+    ]
+    loaded = load_engine(tmp_path / "snap", mmap=mmap)
+    want, got = kernel_arrays(engine), kernel_arrays(loaded)
+    assert sorted(got) == sorted(want)
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype, name
+        assert got[name].tobytes() == array.tobytes(), name
+        assert not got[name].flags.writeable, name
+    if queries.shape[1] == engine.num_dims:
+        same_answers(engine.batch_query(queries, k=5), loaded.batch_query(queries, k=5))
+    loaded.close()
+    engine.close()
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_checkpoint_fires_every_snapshot_point_and_fsyncs_each_data_file_once(
+    dataset, tmp_path, monkeypatch, sharded
+):
+    """``snapshot.array.written`` fires once per array appended, before the
+    one fsync of its capture's data file; every declared ``snapshot.*``
+    point fires in a checkpoint."""
+    from repro.core import persistence
+
+    events = []
+    real_fsync = persistence._fsync_file
+
+    def recording_fsync(handle):
+        events.append(("fsync", handle.name))
+        real_fsync(handle)
+
+    engine = (
+        ShardedIndex(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=3)
+        if sharded
+        else SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+    )
+    durable = DurableIndex.create(engine, tmp_path / "dur")
+    durable.insert(np.full(4, 0.5))
+    monkeypatch.setattr(persistence, "_fsync_file", recording_fsync)
+    with faults.fault_plane(CallbackPlane(lambda point: events.append(("fire", point)))):
+        snapshot = durable.checkpoint()
+    durable.close()
+
+    fired = {point for kind, point in events if kind == "fire"}
+    declared = {point for point in faults.fault_points() if point.startswith("snapshot.")}
+    assert declared <= fired
+    captures = [snapshot] + sorted(snapshot.glob("shard-*"))
+    assert len(captures) == (4 if sharded else 1)
+    for capture in captures:
+        manifest = json.loads((capture / "MANIFEST.json").read_text())
+        data_file = str(capture / "arrays.bin")
+        syncs = [i for i, event in enumerate(events) if event == ("fsync", data_file)]
+        assert len(syncs) == 1
+        # The array hits of this capture are the ones right before its sync.
+        hits = 0
+        for kind, point in reversed(events[: syncs[0]]):
+            if (kind, point) != ("fire", "snapshot.array.written"):
+                break
+            hits += 1
+        assert hits == len(manifest["arrays"])
+
+
 # --------------------------------------------------------------- format guard
 def test_unknown_version_raises(dataset, tmp_path):
     import json
@@ -607,9 +787,9 @@ def test_unknown_version_raises(dataset, tmp_path):
 def test_checksum_mismatch_raises(dataset, tmp_path):
     index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
     index.save(tmp_path / "snap")
-    target = tmp_path / "snap" / "arrays" / "matrix.npy"
+    target, offset, size = snapshot_extent(tmp_path / "snap", "lvl0_matrix")
     blob = bytearray(target.read_bytes())
-    blob[-1] ^= 0xFF
+    blob[offset + size - 1] ^= 0xFF
     target.write_bytes(bytes(blob))
     with pytest.raises(SnapshotFormatError, match="checksum"):
         SDIndex.load(tmp_path / "snap")
@@ -634,13 +814,48 @@ def test_wrong_engine_kind_raises(dataset, tmp_path):
 def test_truncated_array_raises(dataset, tmp_path):
     index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
     index.save(tmp_path / "snap")
-    target = tmp_path / "snap" / "arrays" / "rows.npy"
+    target, offset, size = snapshot_extent(tmp_path / "snap", "lvl0_rows")
     blob = target.read_bytes()
-    target.write_bytes(blob[: len(blob) // 2])
+    target.write_bytes(blob[: offset + size // 2])
     # Size validation runs on every load mode, including mmap.
     for mmap in (False, True):
         with pytest.raises(SnapshotFormatError, match="truncated"):
             SDIndex.load(tmp_path / "snap", mmap=mmap)
+
+
+def _extent_past_the_end(arrays, data_bytes):
+    arrays["lvl0_matrix"]["offset"] = data_bytes // 64 * 64
+
+
+def _extents_overlapping(arrays, data_bytes):
+    arrays["lvl0_live"]["offset"] = arrays["lvl0_matrix"]["offset"]
+
+
+def _dtype_disagreeing_with_bytes(arrays, data_bytes):
+    arrays["lvl0_matrix"]["dtype"] = "<i4"
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_extent_past_the_end, "runs past the end"),
+        (_extents_overlapping, "overlap"),
+        (_dtype_disagreeing_with_bytes, "disagree with its"),
+    ],
+)
+def test_bad_extent_raises(dataset, tmp_path, corrupt, message, mmap):
+    """A manifest extent that does not fit the data file is a format error,
+    on every load mode: never a numpy error, never a view over the wrong
+    bytes or a short one."""
+    index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+    index.save(tmp_path / "snap")
+    manifest_path = tmp_path / "snap" / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    corrupt(manifest["arrays"], manifest["data_bytes"])
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotFormatError, match=message):
+        SDIndex.load(tmp_path / "snap", mmap=mmap)
 
 
 # --------------------------------------------------------------- DurableIndex
