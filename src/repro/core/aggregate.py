@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.angles import AngleGrid
+from repro.core.lsm import LsmSession
 from repro.core.pairing import DimensionPairing, pair_dimensions
 from repro.core.projection_tree import require_finite, require_unique
 from repro.core.query import SDQuery, make_fast_scorer, sd_score
@@ -196,9 +196,9 @@ class SubproblemAggregator:
         if len(rows) != len(matrix):
             raise ValueError("row_ids must align with the data matrix")
         require_unique(rows)
-        #: Options of the LSM sessions this aggregator creates: the delta
-        #: absorbs writes, immutable levels serve the bulk, a compactor folds
-        #: them down (DESIGN.md section 11).
+        #: Options of the aggregator's LSM session: the delta absorbs writes,
+        #: immutable levels serve the bulk, a compactor folds them down
+        #: (DESIGN.md section 11).
         self._lsm_options: Dict[str, object] = {}
         if flush_rows is not None:
             self._lsm_options["flush_rows"] = int(flush_rows)
@@ -206,8 +206,8 @@ class SubproblemAggregator:
             self._lsm_options["fanout"] = int(fanout)
         self._lsm_options["background"] = bool(background_compaction)
         #: Serializes writers with session rebuilds and legacy traversals,
-        #: which read the structures writers mutate.  Reentrant: a writer
-        #: patch may trigger a rebuild.
+        #: which read the structures writers mutate.  Reentrant: a write may
+        #: run a due flush or merge inline.
         self._write_lock = threading.RLock()
         self._num_dims = matrix.shape[1]
         self.repulsive = tuple(int(d) for d in repulsive)
@@ -237,15 +237,15 @@ class SubproblemAggregator:
         self._columns: Optional[Dict[int, SortedColumn]] = None
         self._legacy_points: Optional[Dict[int, np.ndarray]] = None
         self._mutations = 0
-        #: Live query sessions every update is pushed to (weak refs so
-        #: abandoned sessions disappear).
-        self._sessions: List[weakref.ref] = []
         self._closed = False
-        #: The serving session backing the single-query fast path,
-        #: ``batch_query`` and snapshots.  Built now, so the first read after
-        #: a build never waits for it.  Its published world is the row store:
-        #: the only record of which rows exist and where they live.
-        self._serving_session = self._make_session(population=(rows, matrix))
+        #: The one query session, for the aggregator's whole life: it backs
+        #: the single-query fast path, ``batch_query`` and snapshots, and is
+        #: built now, so the first read after a build never waits for it.
+        #: Its published world is the row store: the only record of which
+        #: rows exist and where they live.
+        self._serving_session: Optional[LsmSession] = LsmSession(
+            self, (rows, matrix), **self._lsm_options
+        )
 
     # ------------------------------------------------------------------ basics
     def _world(self):
@@ -257,16 +257,12 @@ class SubproblemAggregator:
         return 0 if session is None else session._world.num_live
 
     @property
-    def mutations(self) -> int:
-        """Monotone update counter; batch query sessions use it to detect staleness."""
-        return self._mutations
-
-    @property
     def version(self) -> int:
-        """Alias of :attr:`mutations`: the aggregator's state version number.
+        """The aggregator's state version: the number of writes applied.
 
-        Bumped on every mutation; session epochs published for this aggregator
-        correspond to prefixes of this counter.
+        Bumped once per write, after the session publishes it; session
+        epochs published for this aggregator correspond to prefixes of this
+        counter.
         """
         return self._mutations
 
@@ -329,34 +325,24 @@ class SubproblemAggregator:
         return self._pair_indexes, self._columns
 
     # ------------------------------------------------------------------ updates
-    def _register_session(self, session) -> None:
-        """Track a session so every update reaches it."""
-        self._sessions = [ref for ref in self._sessions if ref() is not None]
-        self._sessions.append(weakref.ref(session))
-
     def _apply_write(self, ids: np.ndarray, matrix: Optional[np.ndarray] = None) -> None:
-        """Finish a validated insert (``matrix`` given) or delete of ``ids``.
+        """Apply an insert (``matrix`` given) or a delete of ``ids``.
 
-        Every live session absorbs the write (dead weak refs are dropped),
-        the serving session first: its world is the row store, so a write
-        that fails to publish there changes nothing.  Then built legacy
+        The session absorbs the write first: its world is the row store, so
+        a write that fails to publish there (a delete of an id that is not
+        live) changes nothing.  Then the version moves, built legacy
         structures are patched (the pair trees and the row map; columns are
         dropped for a rebuild on the next legacy query), deleted ids retire,
-        and each session may schedule LSM maintenance — either hand the due
+        and the session may schedule LSM maintenance — either hand the due
         flush/merge to its background compactor or, inline, perform it now
         under the already held reentrant lock.
         """
+        session = self._serving_session
+        if matrix is None:
+            session.apply_bulk_delete(ids)
+        else:
+            session.apply_bulk_insert(ids, matrix)
         self._mutations += 1
-        alive: List[weakref.ref] = []
-        for ref in self._sessions:
-            session = ref()
-            if session is not None:
-                if matrix is None:
-                    session.apply_bulk_delete(ids)
-                else:
-                    session.apply_bulk_insert(ids, matrix)
-                alive.append(ref)
-        self._sessions = alive
         if self._pair_indexes is not None:
             row_ids = ids.tolist()
             for index, (rep_dim, att_dim) in zip(self._pair_indexes, self.pairing.pairs):
@@ -375,15 +361,12 @@ class SubproblemAggregator:
             self._columns = None
         if matrix is None:
             self._retired.add(ids)
-        for ref in alive:
-            session = ref()
-            if session is not None:
-                session.maybe_maintain()
+        session.maybe_maintain()
 
     def insert(self, point: Sequence[float], row_id: Optional[int] = None) -> int:
         """Insert one point; returns its row id.
 
-        Live query sessions append it to their delta.  The pair trees are
+        The query session appends it to its delta.  The pair trees are
         patched only if a legacy query or :meth:`stats` has built them; until
         then the insert touches no tree.  See :meth:`bulk_insert`.
         """
@@ -399,8 +382,8 @@ class SubproblemAggregator:
 
         Semantically identical to calling :meth:`insert` in a loop, but the
         whole batch is validated up front (a rejected batch inserts nothing
-        and claims no id), counts as a single mutation, and live query
-        sessions absorb it with one vectorized delta append instead of one
+        and claims no id), counts as a single mutation, and the query
+        session absorbs it with one vectorized delta append instead of one
         per point.  No tree is built or patched unless the legacy structures
         already exist.
         """
@@ -437,33 +420,29 @@ class SubproblemAggregator:
     def delete(self, row_id: int) -> None:
         """Delete one row.
 
-        Live query sessions tombstone it (a delta mask or a level validity
+        The query session tombstones it (a delta mask or a level validity
         mask).  The pair trees are patched only if a legacy query or
         :meth:`stats` has built them.  See :meth:`bulk_delete`.
         """
         self.bulk_delete([row_id])
 
     def bulk_delete(self, row_ids: Sequence[int]) -> None:
-        """Delete many rows at once (validated up front, one session patch).
+        """Delete many rows at once, all or none, with one session patch.
 
-        Live query sessions tombstone the rows (delta mask or level validity
-        mask) instead of being invalidated.
+        An id that is not live raises ``KeyError("row id N not present")``
+        and deletes nothing.
         """
         ids = as_row_ids(row_ids)
         if len(ids) > 1:
             require_unique(ids)
-        with self._write_lock:
-            self._check_closed()
-            live = self.live_mask(ids)
-            if not live.all():
-                raise KeyError(f"row id {int(ids[np.argmin(live)])} not present")
-            self._delete_live(ids)
+        self._delete_live(ids)
 
     def _delete_live(self, ids: np.ndarray) -> None:
-        """The one delete body: unique ids already found live here.
+        """The one delete body, over unique ids.
 
-        :meth:`bulk_delete` calls it after its own lookup; the sharded engine
-        after locating the ids across its shards.
+        The session's tombstoning is the one lookup: it validates every id
+        before it publishes (see :meth:`_apply_write`).  The sharded engine
+        calls this after locating the ids across its shards.
         """
         with self._write_lock:
             self._check_closed()
@@ -598,29 +577,6 @@ class SubproblemAggregator:
         """
         return self.serving_session().snapshot()
 
-    def session(self, seed_pool: Optional[int] = None, cached: bool = True):
-        """A shared-traversal batch query session over the current point set.
-
-        The session snapshots the live points (:meth:`live_population`) and
-        flattens a fresh 2D projection tree per pair over them; it stays valid
-        across updates because the aggregator pushes every update into it (see
-        :class:`repro.core.lsm.LsmSession`).  By default
-        this returns the shared serving session; pass ``cached=False`` (or a
-        custom ``seed_pool``) for a private one.
-        """
-        if cached and seed_pool is None:
-            return self.serving_session()
-        return self._make_session(seed_pool)
-
-    def _make_session(self, seed_pool: Optional[int] = None, population=None):
-        """Construct a fresh LSM session (:class:`repro.core.lsm.LsmSession`)
-        over ``population`` (by default the live rows)."""
-        from repro.core.lsm import LsmSession
-
-        return LsmSession(
-            self, seed_pool=seed_pool, population=population, **self._lsm_options
-        )
-
     def batch_query(self, queries, k=None, alpha=None, beta=None):
         """Answer a batch of SD-Queries with the vectorized execution engine.
 
@@ -664,11 +620,10 @@ class SubproblemAggregator:
         self.serving_session().auto_compaction = bool(enabled)
 
     def quiesce_maintenance(self) -> None:
-        """Join any in-flight background compaction across live sessions."""
-        for ref in list(self._sessions):
-            session = ref()
-            if session is not None:
-                session.quiesce()
+        """Join any in-flight background compaction of the session."""
+        session = self._serving_session
+        if session is not None:
+            session.quiesce()
 
     def maintenance_stats(self) -> Dict[str, int]:
         """The serving session's maintenance counters.
@@ -728,12 +683,9 @@ class SubproblemAggregator:
         to the mapped arrays (serving state, pair trees, sorted columns) and
         then releases the maps through the attached
         :class:`~repro.core.persistence.MmapGuard`, so snapshot-directory
-        pruning never races an open file handle.  A pending reflatten is
-        materialized first: the rebuild copies the mapped data into RAM,
-        leaving any still-pinned reader a consistent world after the files
-        are gone.  Pinned readers keep their mappings alive (and are reported
-        through the guard's leak count) rather than having the pages unmapped
-        beneath them.
+        pruning never races an open file handle.  Pinned readers keep their
+        mappings alive (and are reported through the guard's leak count)
+        rather than having the pages unmapped beneath them.
         """
         if self.closed:
             return
@@ -747,17 +699,10 @@ class SubproblemAggregator:
             if self.closed:
                 return
             guard = getattr(self, "_mmap_guard", None)
-            session = self._serving_session
-            if guard is not None and session is not None and session.needs_reflatten:
-                session.reflatten()
             self._closed = True
-            for ref in self._sessions:
-                live = ref()
-                if live is not None:
-                    # Retire the published state; unpinned epochs reclaim at
-                    # once, pinned readers keep theirs until they unpin.
-                    live.epochs.publish(None)
-            self._sessions = []
+            # Retire the published world; unpinned epochs reclaim at once,
+            # pinned readers keep theirs until they unpin.
+            self._serving_session.epochs.publish(None)
             self._serving_session = None
             self._pair_indexes = None
             self._columns = None

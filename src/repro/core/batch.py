@@ -82,9 +82,10 @@ from repro.core.projection_tree import bulk_leaf_sizes
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, Match, TopKResult
 
-#: Fault point at batch-kernel dispatch: fires once per ``_execute`` before
-#: any state is read, so an injected raise or stall models a stuck kernel
-#: without ever producing a torn result (DESIGN.md §9).
+#: Fault point at batch-kernel dispatch: fires once per level a batch runs
+#: on (``QuerySession._level_execute``) before any state is read, so an
+#: injected raise or stall models a stuck kernel without ever producing a
+#: torn result (DESIGN.md §9).
 _FP_KERNEL = faults.declare_fault_point(
     "batch.kernel", "batch kernel dispatch over one pinned session state"
 )
@@ -101,7 +102,9 @@ _ANGLE_TOLERANCE = 1e-12
 #: Matches the component snap tolerance of :class:`repro.core.geometry.Angle`.
 _SNAP_TOLERANCE = 1e-12
 
-#: Default number of sampled rows used to seed the per-query pruning bound.
+#: Number of sampled rows used to seed the per-query pruning bound.  Every
+#: kernel, the LSM session's pooled seeding included, reads it from this
+#: module at call time, so patching it here reaches every engine.
 _SEED_POOL = 1024
 
 #: Relative slack subtracted from the pruning bound so float rounding in the
@@ -135,11 +138,6 @@ _BOUND_GRID_REFINE = 4
 #: Leaves per block when per-leaf bounds are reduced from the points: the
 #: intercept temporaries span one block's points, never the whole pair.
 _BOUND_BLOCK_LEAVES = 64
-
-#: Fraction of live rows worth of level tombstones a session tolerates before
-#: its maintenance collects them with a compaction, mirroring
-#: ``ProjectionTree.rebuild_threshold``.
-_REFLATTEN_THRESHOLD = 0.25
 
 
 def _refine_candidates(
@@ -194,20 +192,20 @@ def _seeded_threshold(
     score_sample,
     ks_eff: np.ndarray,
     n_live: int,
-    seed_pool: int,
     weight_scale: np.ndarray,
     magnitude: float,
 ) -> np.ndarray:
     """Per-query pruning thresholds from an evenly spaced seed sample.
 
     ``score_sample(positions)`` must return the ``(m, pool)`` exact scores of
-    the sampled positions.  Each query's k-th best seed score is a lower bound
-    on its true k-th best, loosened by :func:`_prune_bound`'s float slack so
-    pruning stays admissible.  Shared by :meth:`QuerySession.run` and
-    :func:`batch_topk_2d` so the two engines can never drift apart here.
+    the sampled positions, at most ``_SEED_POOL`` of them.  Each query's k-th
+    best seed score is a lower bound on its true k-th best, loosened by
+    :func:`_prune_bound`'s float slack so pruning stays admissible.  Shared
+    by :meth:`QuerySession.run` and :func:`batch_topk_2d` so the two engines
+    can never drift apart here.
     """
     sample = np.unique(
-        np.linspace(0, n_live - 1, min(n_live, seed_pool)).astype(np.int64)
+        np.linspace(0, n_live - 1, min(n_live, _SEED_POOL)).astype(np.int64)
     )
     seed_scores = score_sample(sample)
     pool = len(sample)
@@ -531,12 +529,14 @@ class _FlatTree:
     same arrays from x-sorted points and :func:`bulk_leaf_sizes`, which is
     how every execution state is built — no tree at all.
 
-    The flat view is *maintained*, not disposable: :meth:`append_points` adds
-    new rows by assigning them to the covering leaf and loosening that leaf's
-    per-angle bounds (admissible, merely looser), and :meth:`tombstone_rows`
-    marks deletions in the ``live`` validity mask.  Both accumulate garbage
-    that :meth:`garbage_fraction` reports so owners can reflatten past a
-    threshold (see DESIGN.md).
+    Only :class:`~repro.core.topk.TopKIndex` patches a flat view:
+    :meth:`append_points` adds new rows by assigning them to the covering
+    leaf and loosening that leaf's per-angle bounds (admissible, merely
+    looser), and :meth:`tombstone_rows` marks deletions in the ``live``
+    validity mask.  Both accumulate garbage that :meth:`garbage_fraction`
+    reports so the index can reflatten past a threshold.  The pair views of
+    an LSM level are never patched: a level's deletes clear its own validity
+    mask, and its inserts land in the delta (DESIGN.md section 11).
     """
 
     __slots__ = (
@@ -1006,15 +1006,17 @@ def leaf_score_bounds(
 
 # ------------------------------------------------------------------- sessions
 class SessionState:
-    """One immutable epoch of a :class:`QuerySession`'s execution state.
+    """The frozen execution state of one LSM level.
 
-    Everything the vectorized kernels read lives here: the snapshot row ids
+    Everything the vectorized kernels read lives here: the level's row ids
     and coordinate matrix, the validity mask, the per-pair flat views
     (with their per-leaf bounds), the sorted-column arrays and the
     id->position maps.  A state is never mutated once published: readers
     pin it (inside an LSM level) through the session's
     :class:`~repro.core.epoch.EpochManager` and execute entirely against it,
-    so writers preparing the next state can never tear a read.
+    so writers preparing the next state can never tear a read.  A delete
+    replaces the level's state with a successor that copies only ``live``
+    and counts the dead row in ``tombstoned``.
     """
 
     __slots__ = (
@@ -1029,7 +1031,6 @@ class SessionState:
         "pair_leaf_of_position",
         "col_values",
         "col_positions",
-        "appended",
         "tombstoned",
     )
 
@@ -1046,7 +1047,6 @@ class SessionState:
         pair_leaf_of_position: List[np.ndarray],
         col_values: Dict[int, np.ndarray],
         col_positions: Dict[int, np.ndarray],
-        appended: int = 0,
         tombstoned: int = 0,
     ) -> None:
         self.rows = rows
@@ -1060,7 +1060,6 @@ class SessionState:
         self.pair_leaf_of_position = pair_leaf_of_position
         self.col_values = col_values
         self.col_positions = col_positions
-        self.appended = appended
         self.tombstoned = tombstoned
 
     def live_row_ids(self) -> np.ndarray:
@@ -1082,12 +1081,14 @@ class QuerySession:
     :meth:`run_one`) can then be answered against the shared state with
     :meth:`run`.
 
-    This class is the read side: the vectorized kernels over one
-    :class:`SessionState`, the epoch manager readers pin, and the lazy
-    rebuild of a stale session.  The write side lives in its subclass
-    :class:`repro.core.lsm.LsmSession`, which supplies :meth:`_build` and the
-    ``apply_*`` surface the owning aggregator pushes every update through,
-    and publishes layered worlds whose levels these kernels execute against.
+    This class is the read side: the vectorized kernels over one level's
+    :class:`SessionState` (``_level_*``, ``_source_*``) and the epoch
+    manager readers pin.  Its subclass :class:`repro.core.lsm.LsmSession`,
+    the one session each aggregator owns, publishes layered worlds of such
+    levels plus a delta.  It supplies :meth:`_build`, the ``apply_*`` write
+    surface and the world-level ``_execute``/``_upper_bounds``/
+    ``_sample_scores``/``_data_magnitude`` that :meth:`run` and the bound
+    queries call, each of which runs these kernels per level.
 
     **Concurrency.**  Published states are immutable (DESIGN.md section 6):
     every update builds a successor copy-on-write and publishes it
@@ -1098,18 +1099,9 @@ class QuerySession:
     def __init__(
         self,
         aggregator,
-        seed_pool: int = _SEED_POOL,
-        reflatten_threshold: float = _REFLATTEN_THRESHOLD,
-        population: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        population: Tuple[np.ndarray, np.ndarray],
     ) -> None:
         self._aggregator = aggregator
-        self._seed_pool = int(seed_pool)
-        if self._seed_pool < 1:
-            # A non-positive pool would seed no candidates, leaving the k-th
-            # lower bound at -inf and silently disabling pruning for every
-            # query — full scans that *look* like correct (slow) answers.
-            raise ValueError(f"seed_pool must be >= 1, got {seed_pool}")
-        self.reflatten_threshold = float(reflatten_threshold)
         #: Epoch manager of the published execution states; readers pin, the
         #: writer (the owning aggregator's patch path) publishes.
         self.epochs = EpochManager()
@@ -1117,14 +1109,7 @@ class QuerySession:
         self.reflattens = 0
         self.patched_inserts = 0
         self.patched_deletes = 0
-        # Building reads the aggregator's live rows (or the build's
-        # ``population``, which the aggregator hands its first session);
-        # registration makes the session visible to its patch path — both
-        # under the writer lock so a concurrent mutation can neither tear the
-        # build nor miss the session.
-        with aggregator.write_lock:
-            self._build(population)
-            aggregator._register_session(self)
+        self._build(population)
 
     # ------------------------------------------------------------------ state
     @property
@@ -1197,29 +1182,11 @@ class QuerySession:
         return state
 
     # -------------------------------------------------------------- maintenance
-    @property
-    def needs_reflatten(self) -> bool:
-        """True once the next :meth:`run` will rebuild the flattened state."""
-        return self._generation != self._aggregator.mutations
-
     def reflatten(self) -> None:
-        """Force an eager rebuild of the flattened state (counts in ``reflattens``)."""
+        """Rebuild the state from the live rows now (counts in ``reflattens``)."""
         with self._aggregator.write_lock:
             self.reflattens += 1
             self._build()
-
-    def _fresh_state(self) -> SessionState:
-        """The current state, rebuilt first if the session went stale.
-
-        The rebuild reads the aggregator's structures, so it happens under the
-        aggregator's write lock; concurrent readers that lost the race simply
-        observe the state the winner published.
-        """
-        if self.needs_reflatten:
-            with self._aggregator.write_lock:
-                if self.needs_reflatten:
-                    self.reflatten()
-        return self._state
 
     def garbage_fraction(self) -> float:
         """Garbage + imbalance of the current state relative to live rows.
@@ -1238,7 +1205,6 @@ class QuerySession:
             "appended_since_flatten": state.appended,
             "tombstoned_since_flatten": state.tombstoned,
             "live_rows": state.num_live,
-            "needs_reflatten": int(self.needs_reflatten),
             "epoch_version": self.epochs.version,
             "epochs_live": self.epochs.live_epochs,
         }
@@ -1250,10 +1216,8 @@ class QuerySession:
         The view answers :meth:`run`/:meth:`run_one`/bound queries against the
         pinned :class:`SessionState` no matter what writers do afterwards; use
         it as a context manager (or call ``close()``) to release the pin so
-        the epoch can be reclaimed.  A stale session reflattens first, so the
-        pinned state always reflects every mutation applied so far.
+        the epoch can be reclaimed.
         """
-        self._fresh_state()
         return SessionSnapshot(self, self.epochs.pin())
 
     # ------------------------------------------------------------------ helpers
@@ -1352,28 +1316,29 @@ class QuerySession:
         The sharded engine pools these samples across shards to seed a *global*
         k-th best lower bound before the first probe.
         """
-        state = self._fresh_state()
         spec = self._coerce_spec(queries, k=k, alpha=alpha, beta=beta)
-        return self._sample_scores(state, spec, pool)
+        return self._sample_scores(self._state, spec, pool)
 
-    def _sample_scores(
-        self, state: SessionState, spec: BatchQuerySpec, pool: int
+    def _source_sample_scores(
+        self, source, spec: BatchQuerySpec, pool: int
     ) -> np.ndarray:
-        if state.num_live == 0:
+        """:meth:`sample_scores` over one level's state or the delta."""
+        if source.num_live == 0:
             return np.empty((len(spec), 0))
-        live = np.flatnonzero(state.live)
+        live = np.flatnonzero(source.live)
         sample = np.unique(
             np.linspace(0, len(live) - 1, min(len(live), int(pool))).astype(np.int64)
         )
-        return self._score_block(state, live[sample], spec)
+        return self._score_block(source, live[sample], spec)
 
     def data_magnitude(self) -> float:
         """Largest absolute scored coordinate in the snapshot (0.0 when empty)."""
         return self._data_magnitude(self._state)
 
-    def _data_magnitude(self, state: SessionState) -> float:
+    def _source_magnitude(self, source) -> float:
+        """:meth:`data_magnitude` over one level's state or the delta."""
         magnitude = 0.0
-        for column in state.columns_by_dim.values():
+        for column in source.columns_by_dim.values():
             if len(column):
                 magnitude = max(magnitude, float(np.abs(column).max()))
         return magnitude
@@ -1390,11 +1355,13 @@ class QuerySession:
         hold any of that query's answers.  Returns ``-inf`` for every query
         when no live rows remain.
         """
-        state = self._fresh_state()
         spec = self._coerce_spec(queries, k=k, alpha=alpha, beta=beta)
-        return self._upper_bounds(state, spec)
+        return self._upper_bounds(self._state, spec)
 
-    def _upper_bounds(self, state: SessionState, spec: BatchQuerySpec) -> np.ndarray:
+    def _level_upper_bounds(
+        self, state: SessionState, spec: BatchQuerySpec
+    ) -> np.ndarray:
+        """:meth:`upper_bounds` over one level's state."""
         m = len(spec)
         if state.num_live == 0:
             return np.full(m, -math.inf)
@@ -1468,14 +1435,11 @@ class QuerySession:
         omitted from that query's result — exactly what a sharded merge wants,
         since such rows cannot enter the global top k.
         """
-        # Garbage crossed the threshold (or an unpatched mutation slipped by):
-        # rebuild the flattened state before answering, then execute against
-        # one consistent state object end to end.
-        state = self._fresh_state()
+        # Execute against one consistent published world end to end.
         spec = self._coerce_spec(queries, k=k, alpha=alpha, beta=beta)
-        return self._execute(state, spec, lower_bounds, _label, deadline=deadline)
+        return self._execute(self._state, spec, lower_bounds, _label, deadline=deadline)
 
-    def _execute(
+    def _level_execute(
         self,
         state: SessionState,
         spec: BatchQuerySpec,
@@ -1483,7 +1447,7 @@ class QuerySession:
         _label: str,
         deadline: Optional[Deadline] = None,
     ) -> BatchResult:
-        """The filter-and-verify pipeline over one pinned execution state."""
+        """The filter-and-verify pipeline over one level's pinned state."""
         faults.fire(_FP_KERNEL)
         if deadline is not None:
             deadline.check()
@@ -1531,7 +1495,6 @@ class QuerySession:
             lambda sample: self._score_block(state, live_positions[sample], spec),
             ks_eff,
             n_live,
-            self._seed_pool,
             weight_scale,
             magnitude,
         )
@@ -1830,7 +1793,6 @@ def batch_topk_2d(
     k,
     alpha=1.0,
     beta=1.0,
-    seed_pool: int = _SEED_POOL,
     flat: Optional[_FlatTree] = None,
     label: str = "sd-topk/batch",
 ) -> BatchResult:
@@ -1893,7 +1855,6 @@ def batch_topk_2d(
         ),
         ks_eff,
         n_live,
-        seed_pool,
         alphas + betas,
         magnitude,
     )

@@ -2,8 +2,8 @@
 
 Patching one flattened world per update costs O(n) splices on the write path
 and, once garbage crosses a threshold, an O(n log n) stop-the-world reflatten
-that will not survive sustained write traffic.  Every query session therefore
-maintains its state as a small log-structured merge hierarchy:
+that will not survive sustained write traffic.  Each aggregator's one query
+session therefore keeps its state as a small log-structured merge hierarchy:
 
 * **Delta.**  A bounded mutable :class:`DeltaState` absorbs every insert as a
   plain array append (no tree, no sorted-column splices) and every delete of a
@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import faults
+from repro.core import batch
 from repro.core.batch import (
     BatchQuerySpec,
     QuerySession,
@@ -62,6 +63,11 @@ _FANOUT = 4
 #: Inline-flush relief valve: if the background compactor falls this far
 #: behind, the writer flushes synchronously to bound delta memory.
 _HARD_CAP_FACTOR = 8
+
+#: Level tombstones, as a fraction of the live rows, past which maintenance
+#: merges every level to drop them; the projection tree's own
+#: ``rebuild_threshold``.
+_REFLATTEN_THRESHOLD = 0.25
 
 #: Longest wait, per thread, for an in-flight compactor at interpreter exit.
 _EXIT_JOIN_SECONDS = 30.0
@@ -225,7 +231,6 @@ class Level:
             pair_leaf_of_position=state.pair_leaf_of_position,
             col_values=state.col_values,
             col_positions=state.col_positions,
-            appended=state.appended,
             tombstoned=state.tombstoned + len(positions),
         )
         return Level(self.seq, successor)
@@ -330,11 +335,12 @@ class LsmWorld:
 class LsmSession(QuerySession):
     """A :class:`QuerySession` whose epochs hold layered :class:`LsmWorld`\\ s.
 
-    The session every aggregator creates.  The read surface
-    (``run``/``snapshot``/``upper_bounds``/``sample_scores``) is the base
-    class's, applied per source; this class adds the aggregator patch surface
-    (``apply_*``).  Writers append to the delta or copy one validity mask —
-    never a sorted-column splice, never a reflatten — and publish the
+    The one session each aggregator builds with itself and owns for its whole
+    life.  The read surface (``run``/``snapshot``/``upper_bounds``/
+    ``sample_scores``) is the base class's; this class runs its per-level
+    kernels over every source of a world and adds the aggregator patch
+    surface (``apply_*``).  Writers append to the delta or copy one validity
+    mask — never a sorted-column splice, never a reflatten — and publish the
     successor world copy-on-write.  Maintenance happens through
     :meth:`flush`/:meth:`compact`, driven either by the owning aggregator's
     post-write trigger (inline or on a short-lived background thread) or
@@ -345,12 +351,10 @@ class LsmSession(QuerySession):
     def __init__(
         self,
         aggregator,
-        seed_pool: Optional[int] = None,
-        reflatten_threshold: Optional[float] = None,
+        population: Tuple[np.ndarray, np.ndarray],
         flush_rows: int = _FLUSH_ROWS,
         fanout: int = _FANOUT,
         background: bool = True,
-        population: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         if flush_rows < 1:
             raise ValueError("flush_rows must be >= 1")
@@ -371,12 +375,7 @@ class LsmSession(QuerySession):
         self._maintain_lock = threading.Lock()
         self._compactor: Optional[threading.Thread] = None
         self._maintenance_error: Optional[BaseException] = None
-        kwargs = {}
-        if seed_pool is not None:
-            kwargs["seed_pool"] = seed_pool
-        if reflatten_threshold is not None:
-            kwargs["reflatten_threshold"] = reflatten_threshold
-        super().__init__(aggregator, population=population, **kwargs)
+        super().__init__(aggregator, population)
 
     # ------------------------------------------------------------------ state
     @property
@@ -392,7 +391,6 @@ class LsmSession(QuerySession):
         """(Re)build as a single-level world over ``population`` (``(rows,
         matrix)``; by default the aggregator's live rows)."""
         aggregator = self._aggregator
-        self._generation = aggregator.mutations
         if population is None:
             population = aggregator.live_population()
         state = self._state_from_rows(*population)
@@ -406,7 +404,6 @@ class LsmSession(QuerySession):
     # ------------------------------------------------------------ write path
     def apply_bulk_insert(self, row_ids, matrix) -> None:
         """Absorb inserted rows into the delta (O(delta), no tree surgery)."""
-        self._generation = self._aggregator.mutations
         row_ids = np.asarray(row_ids, dtype=np.int64)
         matrix = np.asarray(matrix, dtype=float)
         if len(row_ids) == 0:
@@ -417,8 +414,12 @@ class LsmSession(QuerySession):
         self.patched_inserts += len(row_ids)
 
     def apply_bulk_delete(self, row_ids) -> None:
-        """Clear delta bits or copy the owning level's validity mask."""
-        self._generation = self._aggregator.mutations
+        """Clear delta bits or copy the owning level's validity mask.
+
+        The one lookup of a delete, and its validation: if any id is not a
+        live row, raises ``KeyError`` naming the first such id and publishes
+        nothing.
+        """
         row_ids = np.asarray(row_ids, dtype=np.int64)
         if len(row_ids) == 0:
             return
@@ -442,8 +443,9 @@ class LsmSession(QuerySession):
                 if resolved.all():
                     break
             if not resolved.all():
-                missing = remaining[~resolved].tolist()
-                raise KeyError(f"row ids {missing} not present in any level or delta")
+                # ``remaining`` keeps the input order: its first miss is the first.
+                missing = int(remaining[np.argmin(resolved)])
+                raise KeyError(f"row id {missing} not present")
         self.epochs.publish(LsmWorld(tuple(levels), delta))
         # Counters only move once the successor world is actually published;
         # a KeyError above must leave every stat exactly where it was.
@@ -481,7 +483,7 @@ class LsmSession(QuerySession):
         # delta-absorbed delete contributes to neither (its row never
         # became level garbage).
         tombstoned = world.tombstoned
-        if tombstoned > 0 and tombstoned > self.reflatten_threshold * max(
+        if tombstoned > 0 and tombstoned > _REFLATTEN_THRESHOLD * max(
             world.num_live, 1
         ):
             return ("compact", tuple(level.seq for level in world.levels))
@@ -687,38 +689,31 @@ class LsmSession(QuerySession):
     def _sources(self, world: LsmWorld) -> List[SessionState]:
         return [level.state for level in world.levels if level.state.num_live > 0]
 
-    def _data_magnitude(self, state) -> float:
-        if isinstance(state, SessionState) or isinstance(state, DeltaState):
-            return super()._data_magnitude(state)
-        world = state
+    def _data_magnitude(self, world: LsmWorld) -> float:
         magnitude = 0.0
         for source in self._sources(world):
-            magnitude = max(magnitude, super()._data_magnitude(source))
+            magnitude = max(magnitude, self._source_magnitude(source))
         if world.delta.num_live:
-            magnitude = max(magnitude, super()._data_magnitude(world.delta))
+            magnitude = max(magnitude, self._source_magnitude(world.delta))
         return magnitude
 
-    def _sample_scores(self, state, spec: BatchQuerySpec, pool: int) -> np.ndarray:
-        if isinstance(state, SessionState) or isinstance(state, DeltaState):
-            return super()._sample_scores(state, spec, pool)
-        world = state
+    def _sample_scores(
+        self, world: LsmWorld, spec: BatchQuerySpec, pool: int
+    ) -> np.ndarray:
         parts = [
-            super(LsmSession, self)._sample_scores(source, spec, pool)
+            self._source_sample_scores(source, spec, pool)
             for source in self._sources(world)
         ]
         if world.delta.num_live:
-            parts.append(super()._sample_scores(world.delta, spec, pool))
+            parts.append(self._source_sample_scores(world.delta, spec, pool))
         if not parts:
             return np.empty((len(spec), 0))
         return np.hstack(parts)
 
-    def _upper_bounds(self, state, spec: BatchQuerySpec) -> np.ndarray:
-        if isinstance(state, SessionState):
-            return super()._upper_bounds(state, spec)
-        world = state
+    def _upper_bounds(self, world: LsmWorld, spec: BatchQuerySpec) -> np.ndarray:
         bounds = np.full(len(spec), -math.inf)
         for source in self._sources(world):
-            bounds = np.maximum(bounds, super()._upper_bounds(source, spec))
+            bounds = np.maximum(bounds, self._level_upper_bounds(source, spec))
         if world.delta.num_live:
             bounds = np.maximum(bounds, self._delta_upper_bounds(world.delta, spec))
         return bounds
@@ -790,20 +785,20 @@ class LsmSession(QuerySession):
 
     def _execute(
         self,
-        state,
+        world: LsmWorld,
         spec: BatchQuerySpec,
         lower_bounds,
         _label: str,
         deadline: Optional[Deadline] = None,
     ) -> BatchResult:
-        if isinstance(state, SessionState):
-            return super()._execute(state, spec, lower_bounds, _label, deadline=deadline)
-        world = state
+        """The filter-and-verify pipeline over one pinned world (DESIGN.md
+        section 11): each level runs the flat kernels, the delta is scored
+        brute force, under one k-th-best bound pooled across them."""
         # Single-level worlds with an empty delta take the flat kernels
         # verbatim — the no-write serving path is byte-for-byte the PR 1-2
         # pipeline, merged paths only pay for the layers they actually have.
         if len(world.levels) == 1 and len(world.delta.rows) == 0:
-            return super()._execute(
+            return self._level_execute(
                 world.levels[0].state, spec, lower_bounds, _label, deadline=deadline
             )
         m = len(spec)
@@ -827,7 +822,7 @@ class LsmSession(QuerySession):
         for dim in set(self._aggregator.repulsive) | set(self._aggregator.attractive):
             magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
         weight_scale = spec.alpha.sum(axis=1) + spec.beta.sum(axis=1)
-        pooled = self._sample_scores(world, spec, self._seed_pool)
+        pooled = self._sample_scores(world, spec, batch._SEED_POOL)
         pool = pooled.shape[1]
         kth_lower = np.full(m, -math.inf)
         for j in range(m):
@@ -855,7 +850,7 @@ class LsmSession(QuerySession):
         num_probes = len(probes)
         ubs = np.vstack(
             [
-                super(LsmSession, self)._upper_bounds(source, spec)
+                self._level_upper_bounds(source, spec)
                 if kind == "level"
                 else self._delta_upper_bounds(source, spec)
                 for kind, source in probes
@@ -878,7 +873,7 @@ class LsmSession(QuerySession):
                 kind, source = probes[p]
                 sub_spec = spec.subset(members)
                 if kind == "level":
-                    sub_results = super()._execute(
+                    sub_results = self._level_execute(
                         source, sub_spec, threshold[members], _label,
                         deadline=deadline,
                     ).results

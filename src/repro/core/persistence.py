@@ -915,7 +915,7 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
     agg.write_lock.acquire()
     try:
         session = agg.serving_session()
-        view = session.snapshot()  # reflattens first if stale; pins the epoch
+        view = session.snapshot()  # pins the epoch
         capture.pins.append(view.close)
         state = view.state
         capture.meta = {
@@ -933,8 +933,6 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
             "max_row_id": int(agg._max_row_id),
             "mutations": int(agg._mutations),
             "session": {
-                "seed_pool": int(session._seed_pool),
-                "reflatten_threshold": float(session.reflatten_threshold),
                 "reflattens": int(session.reflattens),
                 "patched_inserts": int(session.patched_inserts),
                 "patched_deletes": int(session.patched_deletes),
@@ -1103,13 +1101,10 @@ def _restore_aggregator(
     agg._pair_indexes = None
     agg._columns = None
     agg._legacy_points = None
-    agg._sessions = []
-    agg._serving_session = None
     agg._closed = False
-
-    session = _restore_lsm_session(agg, manifest["format_version"], payload, arrays)
-    agg._serving_session = session
-    agg._register_session(session)
+    agg._serving_session = _restore_lsm_session(
+        agg, manifest["format_version"], payload, arrays
+    )
     return agg
 
 
@@ -1243,19 +1238,18 @@ def _restore_lsm_session(
     recomputed from its arrays (cheap — the delta is bounded by the flush
     threshold).  A pre-LSM ("flat", format v1) snapshot holds one execution
     state: it restores as level 1 of a world with an empty delta, under the
-    aggregator's (by default the stock) flush and fanout options.
+    aggregator's (by default the stock) flush and fanout options.  Older
+    manifests' ``seed_pool`` and ``reflatten_threshold`` are ignored: both
+    are module constants now.
     """
     meta = payload["session"]
     scored = set(agg.repulsive) | set(agg.attractive)
     session = LsmSession.__new__(LsmSession)
     session._aggregator = agg
-    session._seed_pool = int(meta["seed_pool"])
-    session.reflatten_threshold = float(meta["reflatten_threshold"])
     session.epochs = EpochManager()
     session.reflattens = int(meta["reflattens"])
     session.patched_inserts = int(meta["patched_inserts"])
     session.patched_deletes = int(meta["patched_deletes"])
-    session._generation = agg._mutations
     session.auto_compaction = True
     session._maintain_lock = threading.Lock()
     session._compactor = None
@@ -1386,7 +1380,6 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
             else [float(b) for b in router.boundaries],
             "salt": int(router.salt),
             "rebalance_threshold": float(engine.rebalance_threshold),
-            "parallel": bool(engine.parallel),
             "index_options": _encode_index_options(engine._index_options),
             "max_row_id": int(engine._max_row_id),
             "rebalances": int(engine.rebalances),
@@ -1405,13 +1398,14 @@ def _capture_sharded(engine: ShardedIndex) -> _Capture:
 def _restore_sharded(
     manifest: Dict[str, Any], arrays: Dict[str, np.ndarray], path, mmap, verify
 ) -> ShardedIndex:
+    """Rebuild a sharded engine; older manifests' ``max_workers`` and
+    ``parallel`` are ignored (neither is an option any more)."""
     payload = manifest["payload"]
     engine = ShardedIndex.__new__(ShardedIndex)
     engine.repulsive = tuple(int(d) for d in payload["repulsive"])
     engine.attractive = tuple(int(d) for d in payload["attractive"])
     engine.num_dims = int(payload["num_dims"])
     engine.rebalance_threshold = float(payload["rebalance_threshold"])
-    engine.parallel = bool(payload["parallel"])
     engine._index_options = _decode_index_options(payload["index_options"])
     engine._executor = None
     engine._closed = False

@@ -38,12 +38,12 @@ class SDIndex:
     Queries can be answered one at a time (:meth:`query`) or in vectorized
     batches (:meth:`batch_query`).
 
-    **Cached session lifecycle.**  Both paths execute on a shared
+    **Session lifecycle.**  Both paths execute on the index's one
     *query session* — each dimension pair's projection-tree leaves laid out
     as leaf-aligned numpy arrays, built without the tree (see
     :class:`repro.core.batch.QuerySession` and DESIGN.md):
 
-    * The session is built with the index and then reused;
+    * The session is built with the index and lives as long as it;
       :meth:`query_session` returns it for direct batch use.  The legacy
       engine's per-pair projection trees are not: the first
       ``query(..., engine="legacy")`` or :meth:`stats` call builds them, and
@@ -166,7 +166,7 @@ class SDIndex:
         hash- or range-partitioned across ``num_shards`` independent shards and
         queries served by bound-ordered shard probes.  Results are
         bit-identical to the unsharded engine.  Keyword arguments cover both
-        the sharding knobs (``partitioner``, ``range_dim``, ``parallel``,
+        the sharding knobs (``partitioner``, ``range_dim``,
         ``rebalance_threshold``) and the per-shard index options.
         """
         from repro.core.sharding import ShardedIndex
@@ -195,7 +195,7 @@ class SDIndex:
         weights, and the index fills in its own dimension roles.
 
         ``engine`` selects the execution path: ``"fast"`` (default) runs the
-        vectorized filter-and-verify kernels over the cached query session;
+        vectorized filter-and-verify kernels over the query session;
         ``"legacy"`` runs the original per-stream threshold aggregation.  Both
         return bit-identical scores; an exact score tie at the k-th boundary
         resolves by row id on the fast path and by traversal order on the
@@ -241,25 +241,22 @@ class SDIndex:
         """Answer many SD-Queries at once with the vectorized batch engine.
 
         See the class docstring for the accepted inputs and the exact result
-        semantics.  For several batches against an unchanged index, hold on to
-        a :meth:`query_session` instead so the shared traversal state is built
-        only once.
+        semantics.  Runs on the :meth:`query_session`, as :meth:`query` does;
+        pin a :meth:`snapshot` for repeatable reads across several batches.
         """
         return self._aggregator.batch_query(queries, k=k, alpha=alpha, beta=beta)
 
-    def query_session(self, seed_pool: Optional[int] = None):
-        """The shared query session (kept valid across updates by patching).
+    def query_session(self):
+        """The index's one query session (kept valid across updates).
 
-        With the default ``seed_pool`` this is the same session the
-        single-query fast path and :meth:`batch_query` use; its
+        The single-query fast path and :meth:`batch_query` run on it; its
         ``maintenance_stats()`` expose how many updates it absorbed and its
-        level layout.  Pass a custom ``seed_pool`` for a private session
-        (also maintained).
+        level layout.
         """
-        return self._aggregator.session(seed_pool=seed_pool)
+        return self._aggregator.serving_session()
 
     def refresh_session(self) -> None:
-        """Force the cached session to rebuild from the live rows now."""
+        """Force the query session to rebuild from the live rows now."""
         session = self._aggregator._serving_session
         if session is not None:
             session.reflatten()

@@ -222,7 +222,6 @@ class ShardedIndex:
         partitioner: str = "hash",
         range_dim: Optional[int] = None,
         rebalance_threshold: float = _DEFAULT_SKEW_THRESHOLD,
-        parallel: bool = True,
         row_ids: Optional[Sequence[int]] = None,
         resilience: Optional["ResiliencePolicy"] = None,
         **index_options,
@@ -259,7 +258,6 @@ class ShardedIndex:
             # can rule out.
             range_dim = (self.attractive or self.repulsive)[0]
         self.rebalance_threshold = float(rebalance_threshold)
-        self.parallel = bool(parallel)
         self._index_options = dict(index_options)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
@@ -668,7 +666,6 @@ class ShardedIndex:
                 views.append(session.snapshot())
             consistent = self._topology.version == epoch.version and all(
                 session.epochs.version == view.version
-                and not session.needs_reflatten
                 for session, view in zip(sessions, views)
             )
         except BaseException:
@@ -890,7 +887,8 @@ class ShardedIndex:
                 return give_up("fault")
 
             ordered = sorted(tasks.items())
-            if self.parallel and len(ordered) > 1:
+            # A round with one probe runs it inline; more share the pool.
+            if len(ordered) > 1:
                 executor = self._executor_instance()
                 futures = [
                     (shard, js, executor.submit(attempt, shard, js))

@@ -58,7 +58,6 @@ def _build_sharded(data: np.ndarray, repulsive, attractive, **kwargs) -> Sharded
         "partitioner",
         "range_dim",
         "rebalance_threshold",
-        "parallel",
     }
     options = {key: value for key, value in kwargs.items() if key in allowed}
     return SDIndex.build_sharded(

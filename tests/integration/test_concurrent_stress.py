@@ -311,21 +311,37 @@ class TestExecutorLifecycle:
         assert engine._executor is None
 
     def test_open_snapshot_refuses_to_serve_after_close(self):
-        # Must raise regardless of shard count / parallelism — the closed
-        # check cannot live only on the parallel-executor path.
+        # One shard, so every round probes inline: the closed check cannot
+        # live only on the executor path.
         data = np.random.default_rng(7).random((40, NUM_DIMS))
         engine = ShardedIndex(
             data,
             repulsive=REPULSIVE,
             attractive=ATTRACTIVE,
             num_shards=1,
-            parallel=False,
         )
         snap = engine.snapshot()
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
             snap.batch_query(data[:2], k=2)
         snap.close()
+
+    def test_one_probe_rounds_run_inline(self):
+        """A round with one probe runs it on the caller's thread, so a
+        one-shard engine never starts the probe pool."""
+        data = np.random.default_rng(7).random((40, NUM_DIMS))
+        engine = ShardedIndex(
+            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=1
+        )
+        try:
+            got = engine.batch_query(data[:3], k=4)
+            assert engine._executor is None
+            want = SequentialScan(data, REPULSIVE, ATTRACTIVE).batch_query(data[:3], k=4)
+            for mine, theirs in zip(got.results, want.results):
+                assert mine.row_ids == theirs.row_ids
+                assert mine.scores == theirs.scores
+        finally:
+            engine.close()
 
     def test_reads_survive_concurrent_topology_reads(self):
         """Regression: unpinned len()/skew()/stats() racing a rebalance must
@@ -369,7 +385,7 @@ class TestExecutorLifecycle:
         assert engine.closed
 
     def test_probe_exception_propagates_unmasked(self):
-        engine = self._engine(parallel=True)
+        engine = self._engine()
         try:
             # Fail one shard's execution path: the original error type and
             # message must surface from the parallel collection, not a

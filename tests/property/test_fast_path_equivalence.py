@@ -185,26 +185,38 @@ class TestSessionMaintenance:
                 assert fast.scores == legacy.scores
             index.compact()
 
-    def test_garbage_threshold_triggers_compaction_and_stays_exact(self):
-        from repro.core.lsm import LsmSession
+    def test_garbage_threshold_triggers_compaction_and_stays_exact(self, monkeypatch):
+        from repro.core import lsm
 
-        rng = np.random.default_rng(44)
-        base = rng.random((150, 4))
-        index = SDIndex.build(base, repulsive=[0, 1], attractive=[2, 3])
-        serving = index.query_session()
-        session = LsmSession(index.aggregator, reflatten_threshold=0.05, background=False)
-        live = {i: base[i] for i in range(len(base))}
-        for _ in range(15):
-            point = rng.random(4)
-            live[index.insert(point)] = point
-        # The 8th level tombstone crosses 5% of the ~157 live rows: the
-        # session's own threshold compacts it; the stock 25% one does not.
-        for victim in range(15):
-            index.delete(victim)
-            del live[victim]
+        def churn():
+            """15 inserts, then 15 deletes of level rows, on a fresh index."""
+            rng = np.random.default_rng(44)
+            base = rng.random((150, 4))
+            index = SDIndex.build(
+                base, repulsive=[0, 1], attractive=[2, 3], background_compaction=False
+            )
+            live = {i: base[i] for i in range(len(base))}
+            for _ in range(15):
+                point = rng.random(4)
+                live[index.insert(point)] = point
+            for victim in range(15):
+                index.delete(victim)
+                del live[victim]
+            return index, live, rng
+
+        # The stock 25% threshold leaves 15 tombstones among ~150 live rows.
+        index, _live, _rng = churn()
+        session = index.query_session()
+        assert session.compactions == 0
+        assert [lvl["tombstoned"] for lvl in session.structure()["levels"]] == [15]
+        index.close()
+
+        # At 5%, the 8th level tombstone crosses 5% of the ~157 live rows.
+        monkeypatch.setattr(lsm, "_REFLATTEN_THRESHOLD", 0.05)
+        index, live, rng = churn()
+        session = index.query_session()
         assert session.compactions == 1
-        assert serving.compactions == 0
-        assert session.reflattens == serving.reflattens == 0
+        assert session.reflattens == 0
         structure = session.structure()
         assert [lvl["tombstoned"] for lvl in structure["levels"]] == [7]
         assert structure["delta_live"] == 15  # inserts stay below flush_rows

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import SequentialScan
+from repro.core import batch
 from repro.core.batch import _VERIFY_POOL
 from repro.core.query import SDQuery
 from repro.core.sdindex import SDIndex
@@ -147,25 +148,27 @@ class TestPoolSmallerThanK:
         assert len(got.row_ids) == 13
 
 
-class TestSeedPoolValidation:
-    """A non-positive seed pool would disable pruning for every query while
-    still returning correct-looking answers — reject it at construction."""
+class TestSmallestSeedPool:
+    """A one-row seed pool: each query's pruning bound comes from a single
+    sampled row per source (or none, when k exceeds the pool), and answers
+    must stay exact on a flat and on a layered world."""
 
-    @pytest.mark.parametrize("bad", [0, -1, -1024])
-    def test_non_positive_seed_pool_rejected(self, bad):
+    def test_seed_pool_of_one_is_legal(self, monkeypatch):
+        monkeypatch.setattr(batch, "_SEED_POOL", 1)
         index = build_index(rows=8)
-        with pytest.raises(ValueError, match="seed_pool"):
-            index._aggregator.session(seed_pool=bad, cached=False)
-
-    def test_seed_pool_of_one_is_legal(self):
-        index = build_index(rows=8)
-        session = index._aggregator.session(seed_pool=1, cached=False)
-        oracle = oracle_of(index)
-        query = make_query(2, k=3)
-        got = session.run_one(query)
-        want = oracle.query(query)
-        assert got.row_ids == want.row_ids
-        assert got.scores == want.scores
+        session = index.query_session()
+        for layered in (False, True):
+            if layered:
+                rng = np.random.default_rng(6)
+                index.bulk_insert(rng.random((4, NUM_DIMS)))  # stays in the delta
+                assert session.structure()["delta_live"] == 4
+            oracle = oracle_of(index)
+            for k in (1, 3):
+                query = make_query(2, k=k)
+                got = session.run_one(query)
+                want = oracle.query(query)
+                assert got.row_ids == want.row_ids
+                assert got.scores == want.scores
 
 
 class TestFailedDeleteLeavesCountersUntouched:
@@ -190,3 +193,36 @@ class TestFailedDeleteLeavesCountersUntouched:
         assert session.structure()["delta_live"] == before_live
         # Row 200 is still live and queryable.
         assert_matches_oracle(index, k=5, seeds=(1,))
+
+    def test_failed_bulk_delete_changes_nothing(self):
+        """The session's tombstoning is a delete's one lookup: a batch that
+        holds a missing id raises before the version, the world, the retired
+        ids or the built legacy trees move."""
+        index = build_index(rows=16, flush_rows=1000)
+        rng = np.random.default_rng(4)
+        index.bulk_insert(rng.random((4, NUM_DIMS)), row_ids=[200, 201, 202, 203])
+        index.delete(3)
+        query = make_query(6, k=5)
+        legacy = index.query(query, engine="legacy")  # builds the pair trees
+        aggregator = index.aggregator
+        assert aggregator._pair_indexes is not None
+
+        def state():
+            return (
+                len(index),
+                aggregator.version,
+                index.query_session().structure(),
+                aggregator._retired.array().tolist(),
+            )
+
+        before = state()
+        # 200 is delta-live, 5 level-live, 999 was never present, 3 is retired;
+        # the error names the first id that is not live.
+        for batch_ids, bad in (([200, 5, 999, 3], 999), ([5, 3, 999], 3)):
+            with pytest.raises(KeyError, match=f"row id {bad} not present"):
+                index.bulk_delete(batch_ids)
+        assert state() == before
+        again = index.query(query, engine="legacy")
+        assert again.row_ids == legacy.row_ids
+        assert again.scores == legacy.scores
+        assert_matches_oracle(index, k=5, seeds=(6,))

@@ -117,16 +117,25 @@ class TestSessionRouting:
             False,
         )
 
-    def test_uncached_session_is_lsm_with_same_options(self):
-        index = build_index(flush_rows=12, fanout=3)
-        session = index._aggregator.session(cached=False)
-        assert isinstance(session, LsmSession)
-        assert session is not session_of(index)
-        assert (session.flush_rows, session.fanout) == (12, 3)
-        # A second session absorbs the same writes as the serving one.
-        index.bulk_insert(np.random.default_rng(4).random((5, NUM_DIMS)))
-        assert session.structure()["delta_live"] == 5
-        assert session.structure() == session_of(index).structure()
+    def test_one_session_for_the_index_lifetime(self):
+        """Writes, reads, flushes, merges and an explicit rebuild all keep
+        the index's one session; only ``refresh_session`` rebuilds it."""
+        index = build_index()
+        session = session_of(index)
+        rng = np.random.default_rng(12)
+        index.bulk_insert(rng.random((20, NUM_DIMS)))  # flushes and merges inline
+        index.bulk_delete(list(range(5)))
+        check_against_oracle(index)
+        index.flush()
+        index.compact()
+        stats = session.maintenance_stats()
+        assert stats["flushes"] >= 1 and stats["compactions"] >= 1
+        assert stats["reflattens"] == 0
+        index.refresh_session()
+        assert session.maintenance_stats()["reflattens"] == 1
+        assert index.query_session() is session
+        assert session_of(index) is session
+        check_against_oracle(index)
 
     def test_build_returns_with_the_serving_session_built(self):
         """Construction builds the serving session, so the first read after

@@ -539,6 +539,43 @@ def test_sharded_manifest_with_max_workers_still_loads(dataset, queries, tmp_pat
     engine.close()
 
 
+def test_retired_options_in_older_manifests_are_ignored(dataset, queries, tmp_path):
+    """Captures no longer write the session's ``seed_pool`` and
+    ``reflatten_threshold`` (module constants now) or the sharded engine's
+    ``parallel`` (no longer an option); older manifests that carry them
+    still load and answer the same."""
+    with pytest.raises(TypeError):
+        ShardedIndex(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE, parallel=False)
+    index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+    engine = ShardedIndex(
+        dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=2
+    )
+    expected = [index.batch_query(queries, k=5), engine.batch_query(queries, k=5)]
+    index.save(tmp_path / "flat")
+    engine.save(tmp_path / "sharded")
+    index.close()
+    engine.close()
+
+    def edit_payload(directory, retired):
+        manifest_path = directory / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        payload = manifest["payload"]
+        target = payload["session"] if "session" in payload else payload
+        assert not set(retired) & set(target)
+        target.update(retired)
+        manifest_path.write_text(json.dumps(manifest))
+
+    session_keys = {"seed_pool": 1, "reflatten_threshold": 0.01}
+    edit_payload(tmp_path / "flat", session_keys)
+    edit_payload(tmp_path / "sharded", {"parallel": False})
+    for s in range(2):
+        edit_payload(tmp_path / "sharded" / f"shard-{s}", session_keys)
+    loaded = [SDIndex.load(tmp_path / "flat"), ShardedIndex.load(tmp_path / "sharded")]
+    for want, engine in zip(expected, loaded):
+        same_answers(want, engine.batch_query(queries, k=5))
+        engine.close()
+
+
 @pytest.mark.parametrize("mmap", [False, True])
 def test_topk_roundtrip(tmp_path, mmap):
     rng = np.random.default_rng(5)
