@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.angles import AngleGrid
-from repro.core.lsm import LsmSession
+from repro.core.lsm import _FANOUT, _FLUSH_ROWS, LsmSession
 from repro.core.pairing import DimensionPairing, pair_dimensions
 from repro.core.projection_tree import require_finite, require_unique
 from repro.core.query import SDQuery, make_fast_scorer, sd_score
@@ -196,15 +196,6 @@ class SubproblemAggregator:
         if len(rows) != len(matrix):
             raise ValueError("row_ids must align with the data matrix")
         require_unique(rows)
-        #: Options of the aggregator's LSM session: the delta absorbs writes,
-        #: immutable levels serve the bulk, a compactor folds them down
-        #: (DESIGN.md section 11).
-        self._lsm_options: Dict[str, object] = {}
-        if flush_rows is not None:
-            self._lsm_options["flush_rows"] = int(flush_rows)
-        if fanout is not None:
-            self._lsm_options["fanout"] = int(fanout)
-        self._lsm_options["background"] = bool(background_compaction)
         #: Serializes writers with session rebuilds and legacy traversals,
         #: which read the structures writers mutate.  Reentrant: a write may
         #: run a due flush or merge inline.
@@ -242,9 +233,15 @@ class SubproblemAggregator:
         #: the single-query fast path, ``batch_query`` and snapshots, and is
         #: built now, so the first read after a build never waits for it.
         #: Its published world is the row store: the only record of which
-        #: rows exist and where they live.
+        #: rows exist and where they live.  The session holds the LSM
+        #: options: the delta absorbs writes, immutable levels serve the
+        #: bulk, a compactor folds them down (DESIGN.md section 11).
         self._serving_session: Optional[LsmSession] = LsmSession(
-            self, (rows, matrix), **self._lsm_options
+            self,
+            (rows, matrix),
+            flush_rows=_FLUSH_ROWS if flush_rows is None else flush_rows,
+            fanout=_FANOUT if fanout is None else fanout,
+            background=background_compaction,
         )
 
     # ------------------------------------------------------------------ basics

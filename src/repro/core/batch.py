@@ -82,10 +82,10 @@ from repro.core.projection_tree import bulk_leaf_sizes
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, Match, TopKResult
 
-#: Fault point at batch-kernel dispatch: fires once per level a batch runs
-#: on (``QuerySession._level_execute``) before any state is read, so an
-#: injected raise or stall models a stuck kernel without ever producing a
-#: torn result (DESIGN.md §9).
+#: Fault point at batch-kernel dispatch: fires once per level the
+#: filter-and-verify kernel runs on (``QuerySession._level_filter``) before
+#: it enumerates a candidate, so an injected raise or stall models a stuck
+#: kernel without ever producing a torn result (DESIGN.md §9).
 _FP_KERNEL = faults.declare_fault_point(
     "batch.kernel", "batch kernel dispatch over one pinned session state"
 )
@@ -188,6 +188,25 @@ def _prune_bound(
     return kth_lower_bound - slack
 
 
+def _seed_sample(n_live: int, pool: int) -> np.ndarray:
+    """``min(n_live, pool)`` evenly spaced indices into ``n_live`` live rows.
+
+    Strictly increasing as it stands: with at most ``n_live`` points over
+    ``[0, n_live - 1]`` the spacing is at least 1, so truncation never
+    repeats an index.
+    """
+    return np.linspace(0, n_live - 1, min(n_live, int(pool))).astype(np.int64)
+
+
+def _column_magnitude(columns_by_dim: Dict[int, np.ndarray]) -> float:
+    """Largest absolute value over the scored columns (0.0 when empty)."""
+    magnitude = 0.0
+    for column in columns_by_dim.values():
+        if len(column):
+            magnitude = max(magnitude, float(np.abs(column).max()))
+    return magnitude
+
+
 def _seeded_threshold(
     score_sample,
     ks_eff: np.ndarray,
@@ -204,9 +223,7 @@ def _seeded_threshold(
     by :meth:`QuerySession.run` and :func:`batch_topk_2d` so the two engines
     can never drift apart here.
     """
-    sample = np.unique(
-        np.linspace(0, n_live - 1, min(n_live, _SEED_POOL)).astype(np.int64)
-    )
+    sample = _seed_sample(n_live, _SEED_POOL)
     seed_scores = score_sample(sample)
     pool = len(sample)
     kth_lower = np.full(len(ks_eff), -math.inf)
@@ -882,6 +899,11 @@ class _CollapsedTree:
         self.leaf_max_x = np.asarray([flat.leaf_max_x.max()])
         self.leaf_min_y = np.asarray([flat.leaf_min_y.min()])
         self.leaf_max_y = np.asarray([flat.leaf_max_y.max()])
+        # Every reader of a level state shares its collapsed views.
+        for array in (
+            bounds, self.leaf_min_x, self.leaf_max_x, self.leaf_min_y, self.leaf_max_y
+        ):
+            array.setflags(write=False)
 
 
 def leaf_score_bounds(
@@ -1016,7 +1038,17 @@ class SessionState:
     :class:`~repro.core.epoch.EpochManager` and execute entirely against it,
     so writers preparing the next state can never tear a read.  A delete
     replaces the level's state with a successor that copies only ``live``
-    and counts the dead row in ``tombstoned``.
+    and counts the dead row in ``tombstoned`` (:meth:`with_tombstones`).
+
+    **Read constants.**  What every read of the level would otherwise
+    recompute — each pair's collapsed bound, the level's magnitude and its
+    live positions — is filled lazily, once, by the first read that needs
+    it (never at build or restore: the flat path needs no collapsed bound).
+    Each is a pure function of the state's immutable arrays, so two readers
+    racing to fill one merely compute it twice.  The collapsed bounds and
+    the magnitude read only arrays a tombstoned successor shares, and dead
+    rows only loosen them, so the successor shares them too; its live
+    positions are its own, recomputed on its first read.
     """
 
     __slots__ = (
@@ -1032,6 +1064,8 @@ class SessionState:
         "col_values",
         "col_positions",
         "tombstoned",
+        "_constants",
+        "_live_positions",
     )
 
     def __init__(
@@ -1061,6 +1095,57 @@ class SessionState:
         self.col_values = col_values
         self.col_positions = col_positions
         self.tombstoned = tombstoned
+        #: ``"collapsed"`` and ``"magnitude"``, shared with every successor.
+        self._constants: Dict[str, object] = {}
+        self._live_positions: Optional[np.ndarray] = None
+
+    def with_tombstones(self, positions: np.ndarray) -> "SessionState":
+        """The successor with ``positions`` dead: a copied mask, shared arrays
+        and shared collapsed bounds and magnitude."""
+        live = self.live.copy()
+        live[positions] = False
+        successor = SessionState(
+            rows=self.rows,
+            matrix=self.matrix,
+            live=live,
+            num_live=self.num_live - len(positions),
+            row_order=self.row_order,
+            sorted_rows=self.sorted_rows,
+            columns_by_dim=self.columns_by_dim,
+            pairs=self.pairs,
+            pair_leaf_of_position=self.pair_leaf_of_position,
+            col_values=self.col_values,
+            col_positions=self.col_positions,
+            tombstoned=self.tombstoned + len(positions),
+        )
+        successor._constants = self._constants
+        return successor
+
+    def live_positions(self) -> np.ndarray:
+        """Positions of the live rows, ascending (filled on first read)."""
+        positions = self._live_positions
+        if positions is None:
+            positions = np.flatnonzero(self.live)
+            positions.setflags(write=False)
+            self._live_positions = positions
+        return positions
+
+    def collapsed_pairs(self) -> Tuple["_CollapsedTree", ...]:
+        """Each pair's :meth:`_FlatTree.collapsed` view (filled on first read)."""
+        collapsed = self._constants.get("collapsed")
+        if collapsed is None:
+            collapsed = tuple(flat.collapsed() for _rep, _att, flat in self.pairs)
+            self._constants["collapsed"] = collapsed
+        return collapsed
+
+    def magnitude(self) -> float:
+        """Largest absolute scored coordinate, dead rows included (filled on
+        first read)."""
+        magnitude = self._constants.get("magnitude")
+        if magnitude is None:
+            magnitude = _column_magnitude(self.columns_by_dim)
+            self._constants["magnitude"] = magnitude
+        return magnitude
 
     def live_row_ids(self) -> np.ndarray:
         """Row ids alive in this epoch (frozen-oracle support for tests)."""
@@ -1082,7 +1167,8 @@ class QuerySession:
     :meth:`run`.
 
     This class is the read side: the vectorized kernels over one level's
-    :class:`SessionState` (``_level_*``, ``_source_*``) and the epoch
+    :class:`SessionState` (``_level_*``, ``_source_*``; :meth:`_level_execute`
+    seeds its own threshold, :meth:`_level_filter` takes one) and the epoch
     manager readers pin.  Its subclass :class:`repro.core.lsm.LsmSession`,
     the one session each aggregator owns, publishes layered worlds of such
     levels plus a delta.  It supplies :meth:`_build`, the ``apply_*`` write
@@ -1325,23 +1411,12 @@ class QuerySession:
         """:meth:`sample_scores` over one level's state or the delta."""
         if source.num_live == 0:
             return np.empty((len(spec), 0))
-        live = np.flatnonzero(source.live)
-        sample = np.unique(
-            np.linspace(0, len(live) - 1, min(len(live), int(pool))).astype(np.int64)
-        )
-        return self._score_block(source, live[sample], spec)
+        live = source.live_positions()
+        return self._score_block(source, live[_seed_sample(len(live), pool)], spec)
 
     def data_magnitude(self) -> float:
         """Largest absolute scored coordinate in the snapshot (0.0 when empty)."""
         return self._data_magnitude(self._state)
-
-    def _source_magnitude(self, source) -> float:
-        """:meth:`data_magnitude` over one level's state or the delta."""
-        magnitude = 0.0
-        for column in source.columns_by_dim.values():
-            if len(column):
-                magnitude = max(magnitude, float(np.abs(column).max()))
-        return magnitude
 
     def upper_bounds(self, queries, k=None, alpha=None, beta=None) -> np.ndarray:
         """Admissible per-query upper bounds on any live point's total score.
@@ -1366,8 +1441,9 @@ class QuerySession:
         if state.num_live == 0:
             return np.full(m, -math.inf)
         ub = np.zeros(m)
-        for rep_dim, att_dim, flat in state.pairs:
-            collapsed = flat.collapsed()
+        for (rep_dim, att_dim, _flat), collapsed in zip(
+            state.pairs, state.collapsed_pairs()
+        ):
             if collapsed.num_leaves == 0:
                 return np.full(m, -math.inf)
             ub += leaf_score_bounds(
@@ -1447,7 +1523,43 @@ class QuerySession:
         _label: str,
         deadline: Optional[Deadline] = None,
     ) -> BatchResult:
-        """The filter-and-verify pipeline over one level's pinned state."""
+        """The filter-and-verify pipeline over one level's pinned state, under
+        a threshold seeded from the level's own sample (the flat path and
+        each shard probe); ``lower_bounds``, when given, tighten it."""
+        magnitude = state.magnitude()
+        threshold = np.full(len(spec), -math.inf)
+        if len(spec) and state.num_live:
+            for dim in state.columns_by_dim:
+                magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
+            live_positions = state.live_positions()
+            threshold = _seeded_threshold(
+                lambda sample: self._score_block(state, live_positions[sample], spec),
+                np.minimum(spec.ks, state.num_live),
+                state.num_live,
+                spec.alpha.sum(axis=1) + spec.beta.sum(axis=1),
+                magnitude,
+            )
+            if lower_bounds is not None:
+                threshold = np.maximum(threshold, np.asarray(lower_bounds, dtype=float))
+        return self._level_filter(state, spec, threshold, magnitude, _label, deadline)
+
+    def _level_filter(
+        self,
+        state: SessionState,
+        spec: BatchQuerySpec,
+        threshold: np.ndarray,
+        magnitude: float,
+        _label: str,
+        deadline: Optional[Deadline] = None,
+    ) -> BatchResult:
+        """Filter and verify one level's pinned state under ``threshold``.
+
+        ``threshold`` holds admissible per-query pruning bounds, already
+        lowered by :func:`_prune_bound`'s slack; ``magnitude`` must cover
+        the level's scored coordinates and the queries' (it sizes the
+        verify stage's own slack).  The LSM path passes the threshold it
+        pooled over every source of its world, so no level seeds twice.
+        """
         faults.fire(_FP_KERNEL)
         if deadline is not None:
             deadline.check()
@@ -1464,7 +1576,7 @@ class QuerySession:
                 algorithm=_label,
             )
         ks_eff = np.minimum(spec.ks, n_live)
-        live_positions = np.flatnonzero(state.live)
+        live_positions = state.live_positions()
 
         # Per-pair leaf bounds (shared traversal + per-partition resolution).
         pair_ubs: List[np.ndarray] = []
@@ -1483,23 +1595,7 @@ class QuerySession:
             dim: self._column_max_contribution(state, dim, spec)
             for dim in state.col_values
         }
-
-        # Seeded lower bound on each query's k-th best score.
-        magnitude = 0.0
-        for dim, column in state.columns_by_dim.items():
-            if len(column):
-                magnitude = max(magnitude, float(np.abs(column).max()))
-            magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
         weight_scale = spec.alpha.sum(axis=1) + spec.beta.sum(axis=1)
-        threshold = _seeded_threshold(
-            lambda sample: self._score_block(state, live_positions[sample], spec),
-            ks_eff,
-            n_live,
-            weight_scale,
-            magnitude,
-        )
-        if lower_bounds is not None:
-            threshold = np.maximum(threshold, np.asarray(lower_bounds, dtype=float))
 
         column_total = np.zeros(m)
         for contribution in column_max.values():

@@ -22,12 +22,13 @@ session therefore keeps its state as a small log-structured merge hierarchy:
   trigger.
 
 **Exactness.**  Scores depend only on coordinates, so a row scores
-bit-identically no matter which level holds it.  Queries seed one global
-k-th-best lower bound from samples pooled across every source (the cross-shard
-pattern of :mod:`repro.core.sharding`), run the unchanged filter-and-verify
-kernels per level under that bound, brute-force the delta in each query's own
-term order, and merge under the ``(-score, row_id)`` tie-break — bit-identical
-to ``SequentialScan`` by the same argument that makes sharded serving exact.
+bit-identically no matter which level holds it.  Queries brute-force the
+delta and the small levels in each query's own term order, seed one global
+k-th-best lower bound from those matches and samples of the large levels
+(the cross-shard pattern of :mod:`repro.core.sharding`), run the unchanged
+filter-and-verify kernels on each large level under that bound, and merge
+under the ``(-score, row_id)`` tie-break — bit-identical to
+``SequentialScan`` by the same argument that makes sharded serving exact.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.core.batch import (
     BatchQuerySpec,
     QuerySession,
     SessionState,
+    _column_magnitude,
     _prune_bound,
     select_topk,
 )
@@ -194,6 +196,10 @@ class DeltaState:
     def live_positions(self) -> np.ndarray:
         return np.flatnonzero(self.live)
 
+    def magnitude(self) -> float:
+        """Largest absolute scored coordinate, dead rows included."""
+        return _column_magnitude(self.columns_by_dim)
+
     @property
     def dead(self) -> int:
         return len(self.rows) - self.num_live
@@ -216,24 +222,7 @@ class Level:
         self.state = state
 
     def with_tombstones(self, positions: np.ndarray) -> "Level":
-        state = self.state
-        live = state.live.copy()
-        live[positions] = False
-        successor = SessionState(
-            rows=state.rows,
-            matrix=state.matrix,
-            live=live,
-            num_live=state.num_live - len(positions),
-            row_order=state.row_order,
-            sorted_rows=state.sorted_rows,
-            columns_by_dim=state.columns_by_dim,
-            pairs=state.pairs,
-            pair_leaf_of_position=state.pair_leaf_of_position,
-            col_values=state.col_values,
-            col_positions=state.col_positions,
-            tombstoned=state.tombstoned + len(positions),
-        )
-        return Level(self.seq, successor)
+        return Level(self.seq, self.state.with_tombstones(positions))
 
     def locate_live(self, ids: np.ndarray) -> np.ndarray:
         state = self.state
@@ -686,40 +675,63 @@ class LsmSession(QuerySession):
         return self._world.describe()
 
     # ------------------------------------------------------------- read path
-    def _sources(self, world: LsmWorld) -> List[SessionState]:
-        return [level.state for level in world.levels if level.state.num_live > 0]
+    @property
+    def _scan_rows(self) -> int:
+        """The most live rows a level may hold and still be scored brute
+        force: one flush plus the first two tiers of merges, 4,096 rows at
+        the defaults.  Scoring each row of such a level costs less than the
+        kernel's fixed toll; DESIGN.md section 11 says why the cutoff stops
+        there."""
+        return self.flush_rows * self.fanout**2
+
+    def _sources(self, world: LsmWorld) -> List[Tuple[bool, object]]:
+        """``(scanned, source)`` for every source of ``world`` with live rows.
+
+        The levels' states in world order, then the delta.  A scanned
+        source is scored brute force: the delta always, and every level of
+        at most :attr:`_scan_rows` live rows.  Larger levels run the
+        filter-and-verify kernel.
+        """
+        cutoff = self._scan_rows
+        sources: List[Tuple[bool, object]] = [
+            (level.state.num_live <= cutoff, level.state)
+            for level in world.levels
+            if level.state.num_live > 0
+        ]
+        if world.delta.num_live:
+            sources.append((True, world.delta))
+        return sources
 
     def _data_magnitude(self, world: LsmWorld) -> float:
-        magnitude = 0.0
-        for source in self._sources(world):
-            magnitude = max(magnitude, self._source_magnitude(source))
-        if world.delta.num_live:
-            magnitude = max(magnitude, self._source_magnitude(world.delta))
-        return magnitude
+        return max(
+            (source.magnitude() for _scanned, source in self._sources(world)),
+            default=0.0,
+        )
 
     def _sample_scores(
         self, world: LsmWorld, spec: BatchQuerySpec, pool: int
     ) -> np.ndarray:
         parts = [
             self._source_sample_scores(source, spec, pool)
-            for source in self._sources(world)
+            for _scanned, source in self._sources(world)
         ]
-        if world.delta.num_live:
-            parts.append(self._source_sample_scores(world.delta, spec, pool))
         if not parts:
             return np.empty((len(spec), 0))
         return np.hstack(parts)
 
     def _upper_bounds(self, world: LsmWorld, spec: BatchQuerySpec) -> np.ndarray:
         bounds = np.full(len(spec), -math.inf)
-        for source in self._sources(world):
-            bounds = np.maximum(bounds, self._level_upper_bounds(source, spec))
-        if world.delta.num_live:
-            bounds = np.maximum(bounds, self._delta_upper_bounds(world.delta, spec))
+        for scanned, source in self._sources(world):
+            bound = (
+                self._scan_upper_bounds(source, spec)
+                if scanned
+                else self._level_upper_bounds(source, spec)
+            )
+            bounds = np.maximum(bounds, bound)
         return bounds
 
-    def _delta_upper_bounds(self, delta: DeltaState, spec: BatchQuerySpec) -> np.ndarray:
-        """Admissible per-query score bound over the delta's live rows.
+    def _scan_upper_bounds(self, source, spec: BatchQuerySpec) -> np.ndarray:
+        """Admissible per-query score bound over a scanned source's live rows.
 
         Per-dimension extremes, like the sorted-column bounds of the flat
         kernels: a repulsive dimension contributes at most its farthest
@@ -729,19 +741,19 @@ class LsmSession(QuerySession):
         """
         aggregator = self._aggregator
         m = len(spec)
-        alive = delta.live_positions()
+        alive = source.live_positions()
         if len(alive) == 0:
             return np.full(m, -math.inf)
         bounds = np.zeros(m)
         for i, dim in enumerate(aggregator.repulsive):
-            values = delta.columns_by_dim[dim][alive]
+            values = source.columns_by_dim[dim][alive]
             targets = spec.points[:, dim]
             farthest = np.maximum(
                 np.abs(values.min() - targets), np.abs(values.max() - targets)
             )
             bounds += spec.alpha[:, i] * farthest
         for i, dim in enumerate(aggregator.attractive):
-            values = np.sort(delta.columns_by_dim[dim][alive])
+            values = np.sort(source.columns_by_dim[dim][alive])
             targets = spec.points[:, dim]
             at = np.searchsorted(values, targets)
             nearest = np.full(m, np.inf)
@@ -756,28 +768,52 @@ class LsmSession(QuerySession):
             bounds -= spec.beta[:, i] * nearest
         return bounds
 
-    def _delta_topk(
-        self, delta: DeltaState, spec: BatchQuerySpec, ks_eff: np.ndarray, label: str
+    def _scan_topk(
+        self,
+        sources: Sequence,
+        spec: BatchQuerySpec,
+        ks_eff: np.ndarray,
+        label: str,
+        deadline: Optional[Deadline] = None,
     ) -> List[TopKResult]:
-        """Exact brute-force top-k over the delta, per query term order."""
-        alive = delta.live_positions()
+        """Exact brute-force top-k over the scanned sources taken together.
+
+        Every live row is scored in its query's own term order, so scores
+        are bit-identical to the sequential path's; only each query's top
+        ``k`` become :class:`Match` objects.  Like the kernel, it yields to
+        the deadline between queries.
+        """
+        m = len(spec)
+        if not sources:
+            return [TopKResult(matches=[], algorithm=label) for _ in range(m)]
+        alive = [source.live_positions() for source in sources]
+        rows = np.concatenate([source.rows[live] for source, live in zip(sources, alive)])
+        owner = np.repeat(np.arange(len(sources)), [len(live) for live in alive])
+        positions = np.concatenate(alive)
         results = []
-        for j in range(len(spec)):
-            scores = self._score_one(delta, alive, spec, j)
-            top = select_topk(scores, delta.rows[alive], int(ks_eff[j]))
+        for j in range(m):
+            if deadline is not None:
+                deadline.check()
+            scores = np.concatenate(
+                [
+                    self._score_one(source, live, spec, j)
+                    for source, live in zip(sources, alive)
+                ]
+            )
+            top = select_topk(scores, rows, int(ks_eff[j]))
             matches = [
                 Match(
-                    row_id=int(delta.rows[alive[i]]),
+                    row_id=int(rows[i]),
                     score=float(scores[i]),
-                    point=tuple(delta.matrix[alive[i]]),
+                    point=tuple(sources[owner[i]].matrix[positions[i]]),
                 )
                 for i in top
             ]
             results.append(
                 TopKResult(
                     matches=matches,
-                    candidates_examined=len(alive),
-                    full_evaluations=len(alive),
+                    candidates_examined=len(rows),
+                    full_evaluations=len(rows),
                     algorithm=label,
                 )
             )
@@ -791,9 +827,14 @@ class LsmSession(QuerySession):
         _label: str,
         deadline: Optional[Deadline] = None,
     ) -> BatchResult:
-        """The filter-and-verify pipeline over one pinned world (DESIGN.md
-        section 11): each level runs the flat kernels, the delta is scored
-        brute force, under one k-th-best bound pooled across them."""
+        """The read pipeline over one pinned world (DESIGN.md section 11).
+
+        The scanned sources are scored first, as one block; their exact
+        matches and a sample of every kernel level seed one k-th-best lower
+        bound per query, under which each kernel level runs the filter and
+        verify stages once.  Matches merge under the ``(-score, row_id)``
+        tie-break, bit-identical to ``SequentialScan``.
+        """
         # Single-level worlds with an empty delta take the flat kernels
         # verbatim — the no-write serving path is byte-for-byte the PR 1-2
         # pipeline, merged paths only pay for the layers they actually have.
@@ -814,73 +855,73 @@ class LsmSession(QuerySession):
             deadline.check()
         ks_eff = np.minimum(spec.ks, total_live)
         sources = self._sources(world)
-        delta_live = world.delta.num_live
+        levels = [source for scanned, source in sources if not scanned]
 
-        # One global k-th-best lower bound, seeded from samples pooled across
-        # every source — the cross-shard seeding pattern, applied per level.
+        # Scanned sources need no bound: scoring one costs about what
+        # bounding it would.
+        scan = self._scan_topk(
+            [source for scanned, source in sources if scanned],
+            spec,
+            ks_eff,
+            _label,
+            deadline=deadline,
+        )
+        pools: List[List[Match]] = [list(result.matches) for result in scan]
+        examined = np.array([result.candidates_examined for result in scan], dtype=np.int64)
+        if not levels:
+            return BatchResult(results=scan, algorithm=_label)
+
+        # One global k-th-best lower bound per query, from the scanned
+        # matches and a sample of each kernel level — the cross-shard
+        # seeding pattern, applied per level.  It is the only seeding.
         magnitude = self._data_magnitude(world)
         for dim in set(self._aggregator.repulsive) | set(self._aggregator.attractive):
             magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
         weight_scale = spec.alpha.sum(axis=1) + spec.beta.sum(axis=1)
-        pooled = self._sample_scores(world, spec, batch._SEED_POOL)
-        pool = pooled.shape[1]
+        sampled = np.hstack(
+            [self._source_sample_scores(level, spec, batch._SEED_POOL) for level in levels]
+        )
         kth_lower = np.full(m, -math.inf)
         for j in range(m):
+            seeds = np.concatenate([sampled[j], [match.score for match in pools[j]]])
             k_j = int(ks_eff[j])
-            if pool >= k_j:
-                kth_lower[j] = np.partition(pooled[j], pool - k_j)[pool - k_j]
+            if len(seeds) >= k_j:
+                kth_lower[j] = np.partition(seeds, len(seeds) - k_j)[len(seeds) - k_j]
         floor = (
             np.asarray(lower_bounds, dtype=float)
             if lower_bounds is not None
             else np.full(m, -math.inf)
         )
 
-        # Bound-ordered source visitation — the cross-shard serving pattern
-        # applied *within* the layered world.  Each query walks the sources
-        # (levels, then the delta as a pseudo-source) in decreasing order of
-        # their admissible upper bounds; after every round the merged pools
-        # re-tighten the global k-th lower bound, so later sources run with a
-        # harder threshold or get skipped outright when their bound cannot
-        # reach it.  A skipped source only sheds rows scoring strictly below
-        # ``kth - slack`` — rows that can never enter the global top k — so
-        # the merge stays bit-identical to visiting everything.
-        probes: List[Tuple[str, object]] = [("level", source) for source in sources]
-        if delta_live:
-            probes.append(("delta", world.delta))
-        num_probes = len(probes)
-        ubs = np.vstack(
-            [
-                self._level_upper_bounds(source, spec)
-                if kind == "level"
-                else self._delta_upper_bounds(source, spec)
-                for kind, source in probes
-            ]
-        )
+        # Bound-ordered level visitation — the cross-shard serving pattern
+        # applied *within* the layered world.  Each query walks the kernel
+        # levels in decreasing order of their admissible upper bounds; after
+        # every round the merged pools re-tighten the global k-th lower
+        # bound, so later levels run with a harder threshold or get skipped
+        # outright when their bound cannot reach it.  A skipped level only
+        # sheds rows scoring strictly below ``kth - slack`` — rows that can
+        # never enter the global top k — so the merge stays bit-identical to
+        # visiting everything.  A lone kernel level needs no visit order.
+        if len(levels) == 1:
+            ubs = np.full((1, m), math.inf)
+        else:
+            ubs = np.vstack([self._level_upper_bounds(level, spec) for level in levels])
         visit = np.argsort(-ubs, axis=0, kind="stable")
-        pools: List[List[Match]] = [[] for _ in range(m)]
-        examined = np.zeros(m, dtype=np.int64)
-        for round_index in range(num_probes):
+        queries = np.arange(m)
+        for round_index in range(len(levels)):
             if deadline is not None:
                 deadline.check()
             threshold = np.maximum(
                 _prune_bound(kth_lower, weight_scale, magnitude), floor
             )
-            probe_of = visit[round_index]
-            for p in range(num_probes):
-                members = np.flatnonzero((probe_of == p) & (ubs[p] >= threshold))
-                if len(members) == 0:
-                    continue
-                kind, source = probes[p]
-                sub_spec = spec.subset(members)
-                if kind == "level":
-                    sub_results = self._level_execute(
-                        source, sub_spec, threshold[members], _label,
-                        deadline=deadline,
-                    ).results
-                else:
-                    sub_results = self._delta_topk(
-                        source, sub_spec, ks_eff[members], _label
-                    )
+            level_of = visit[round_index]
+            due = ubs[level_of, queries] >= threshold
+            for p in np.unique(level_of[due]):
+                members = np.flatnonzero(due & (level_of == p))
+                sub_results = self._level_filter(
+                    levels[p], spec.subset(members), threshold[members], magnitude,
+                    _label, deadline=deadline,
+                ).results
                 for i, j in enumerate(members):
                     result = sub_results[i]
                     pools[int(j)].extend(result.matches)

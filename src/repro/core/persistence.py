@@ -576,6 +576,10 @@ OP_REBUILD = 6
 #: ``next_seq`` and the replayed op order.
 OP_FLUSH = 7
 OP_COMPACT = 8
+#: A reflatten of the serving session (``refresh_session``): it re-lays the
+#: world as one level under a fresh seq, so replay must perform it at the
+#: same point for later compact records to name the seqs replay creates.
+OP_REFRESH = 9
 
 _OP_NAMES = {
     OP_INSERT: "insert",
@@ -586,6 +590,7 @@ _OP_NAMES = {
     OP_REBUILD: "rebuild",
     OP_FLUSH: "lsm_flush",
     OP_COMPACT: "lsm_compact",
+    OP_REFRESH: "refresh_session",
 }
 
 _WAL_MAGIC = b"SDWAL001"
@@ -919,7 +924,6 @@ def _capture_aggregator(agg: SubproblemAggregator) -> _Capture:
         capture.pins.append(view.close)
         state = view.state
         capture.meta = {
-            "lsm_options": dict(agg._lsm_options),
             "repulsive": list(agg.repulsive),
             "attractive": list(agg.attractive),
             "num_dims": int(agg._num_dims),
@@ -1072,7 +1076,6 @@ def _restore_aggregator(
     """
     payload = manifest["payload"]
     agg = SubproblemAggregator.__new__(SubproblemAggregator)
-    agg._lsm_options = dict(payload.get("lsm_options", {"background": True}))
     agg._write_lock = threading.RLock()
     agg._num_dims = int(payload["num_dims"])
     agg.repulsive = tuple(int(d) for d in payload["repulsive"])
@@ -1238,9 +1241,11 @@ def _restore_lsm_session(
     recomputed from its arrays (cheap — the delta is bounded by the flush
     threshold).  A pre-LSM ("flat", format v1) snapshot holds one execution
     state: it restores as level 1 of a world with an empty delta, under the
-    aggregator's (by default the stock) flush and fanout options.  Older
-    manifests' ``seed_pool`` and ``reflatten_threshold`` are ignored: both
-    are module constants now.
+    options its payload's ``lsm_options`` names (by default the stock
+    ones).  Every other snapshot reads them from ``session``; the
+    ``lsm_options`` copy that older LSM captures also wrote is ignored, as
+    are older manifests' ``seed_pool`` and ``reflatten_threshold`` (both
+    module constants now).
     """
     meta = payload["session"]
     scored = set(agg.repulsive) | set(agg.attractive)
@@ -1256,7 +1261,9 @@ def _restore_lsm_session(
     session._maintenance_error = None
 
     if meta.get("kind") != "lsm":
-        options = agg._lsm_options
+        # Only these snapshots' payloads carry the options of the session
+        # they restore into; captures write them once, in ``session``.
+        options = payload.get("lsm_options", {})
         session.flush_rows = int(options.get("flush_rows", _FLUSH_ROWS))
         session.fanout = int(options.get("fanout", _FANOUT))
         session.background = bool(options.get("background", True))
@@ -1813,6 +1820,8 @@ def _apply_record(engine, kind: str, op: int, ids: np.ndarray, matrix) -> None:
         engine.flush()
     elif op == OP_COMPACT:
         engine.compact([int(s) for s in ids])
+    elif op == OP_REFRESH:
+        engine.refresh_session()
     else:  # pragma: no cover - decode already validated the op byte
         raise SnapshotFormatError(f"unknown WAL op {op}")
 
@@ -1956,16 +1965,21 @@ class DurableIndex:
     def __len__(self) -> int:
         return len(self._engine)
 
+    #: The engine's read surface, forwarded as is.  Every other engine
+    #: method stays behind :attr:`engine`: a mutator needs a journaling
+    #: method below, or an acknowledged op sequence could become
+    #: unreplayable — or replay a different level layout.
+    _FORWARDED = frozenset(
+        ("query", "batch_query", "snapshot", "point", "query_session", "shard_sizes")
+    )
+
     def __getattr__(self, name: str):
-        # Read-side surface (query, batch_query, snapshot, stats, point, ...)
-        # passes through.  Every method that mutates *logical* state needs a
-        # journaling wrapper below (insert/delete/bulk_*/rebalance/rebuild) —
-        # forwarding one unjournaled would let an acknowledged op sequence
-        # become unreplayable.  Maintenance that only rebuilds derived state
-        # (refresh_session, reflatten) is safe to forward.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._engine, name)
+        if name in DurableIndex._FORWARDED:
+            return getattr(self._engine, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r} "
+            "(only the read surface is forwarded; the engine is .engine)"
+        )
 
     def close(self) -> None:
         self._wal.close()
@@ -2094,6 +2108,13 @@ class DurableIndex:
             self._check_poison()
             self._engine.rebuild()
             self._journal(OP_REBUILD, [])
+
+    def refresh_session(self) -> None:
+        """Journaled reflatten of the serving session (``SDIndex`` only)."""
+        with self._lock:
+            self._check_poison()
+            self._engine.refresh_session()
+            self._journal(OP_REFRESH, [])
 
     def lsm_maintain(self) -> List[Tuple]:
         """Journaled explicit LSM maintenance; returns the ops applied."""

@@ -576,6 +576,38 @@ def test_retired_options_in_older_manifests_are_ignored(dataset, queries, tmp_pa
         engine.close()
 
 
+def test_a_capture_writes_the_lsm_options_once(dataset, queries, tmp_path):
+    """The session's ``flush_rows``/``fanout``/``background`` are the only
+    copy a capture writes; the payload-level ``lsm_options`` copy older LSM
+    captures also wrote is ignored on load."""
+    index = SDIndex.build(
+        dataset,
+        repulsive=REPULSIVE,
+        attractive=ATTRACTIVE,
+        flush_rows=16,
+        fanout=3,
+        background_compaction=False,
+    )
+    for point in np.random.default_rng(54).random((20, 4)):
+        index.insert(point)
+    expected = index.batch_query(queries, k=5)
+    index.save(tmp_path / "snap")
+    index.close()
+    manifest_path = tmp_path / "snap" / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    payload = manifest["payload"]
+    assert "lsm_options" not in payload
+    session = payload["session"]
+    assert (session["flush_rows"], session["fanout"], session["background"]) == (16, 3, False)
+    payload["lsm_options"] = {"flush_rows": 999, "fanout": 7, "background": True}
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = SDIndex.load(tmp_path / "snap")
+    restored = loaded.query_session()
+    assert (restored.flush_rows, restored.fanout, restored.background) == (16, 3, False)
+    same_answers(expected, loaded.batch_query(queries, k=5))
+    loaded.close()
+
+
 @pytest.mark.parametrize("mmap", [False, True])
 def test_topk_roundtrip(tmp_path, mmap):
     rng = np.random.default_rng(5)
@@ -646,8 +678,12 @@ PAIR_ARRAYS = (
 )
 
 
+COLLAPSED_ARRAYS = ("leaf_bounds", "leaf_min_x", "leaf_max_x", "leaf_min_y", "leaf_max_y")
+
+
 def kernel_arrays(engine):
-    """Every array the read kernels use, of every level of every aggregator."""
+    """Every array the read kernels use, of every level of every aggregator,
+    with each level's read constants (computed here if no read has yet)."""
     if isinstance(engine, ShardedIndex):
         aggregators = [engine.shard(s) for s in range(engine.num_shards)]
     else:
@@ -669,6 +705,11 @@ def kernel_arrays(engine):
             for dim in state.col_values:
                 arrays[f"{key}/col{dim}_values"] = state.col_values[dim]
                 arrays[f"{key}/col{dim}_positions"] = state.col_positions[dim]
+            for p, collapsed in enumerate(state.collapsed_pairs()):
+                for name in COLLAPSED_ARRAYS:
+                    arrays[f"{key}/pair{p}/collapsed_{name}"] = getattr(collapsed, name)
+            arrays[f"{key}/magnitude"] = np.float64(state.magnitude())
+            arrays[f"{key}/live_positions"] = state.live_positions()
     return arrays
 
 
@@ -1090,6 +1131,52 @@ class TestDurableIndex:
         assert recovered.shard_sizes() == sizes
         same_answers(expected, recovered.batch_query(queries, k=5))
         recovered.close()
+
+    def test_refresh_session_is_journaled(self, dataset, queries, tmp_path):
+        """Regression: an unjournaled ``refresh_session()`` re-laid the world
+        under a new seq, so the compact records after it named seqs replay
+        never created; the recovered engine kept levels the live one had
+        merged ([1, 4, 5, 6, 7, 8, 9] against [5, 12, 13])."""
+        index = SDIndex.build(
+            dataset[:500],
+            repulsive=REPULSIVE,
+            attractive=ATTRACTIVE,
+            flush_rows=16,
+            fanout=2,
+            background_compaction=False,
+        )
+        durable = DurableIndex.create(index, tmp_path / "dur")
+        rng = np.random.default_rng(53)
+        for point in rng.random((40, 4)):
+            durable.insert(point)
+        durable.refresh_session()
+        for point in rng.random((80, 4)):
+            durable.insert(point)
+        structure = durable.query_session().structure()
+        assert len(structure["levels"]) > 1
+        expected = durable.batch_query(queries, k=5)
+        durable.close()
+        for mmap in (False, True):
+            recovered = DurableIndex.recover(tmp_path / "dur", mmap=mmap)
+            assert recovered.query_session().structure() == structure
+            same_answers(expected, recovered.batch_query(queries, k=5))
+            recovered.close()
+
+    def test_only_the_read_surface_is_forwarded(self, dataset, tmp_path):
+        """The wrapper forwards a named read surface; any other engine
+        method, a mutator above all, is reachable only through ``engine``."""
+        index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
+        durable = DurableIndex.create(index, tmp_path / "dur")
+        try:
+            assert len(durable.query(dataset[3], k=2)) == 2
+            assert durable.point(3) is not None
+            assert durable.query_session() is index.query_session()
+            for name in ("set_auto_compaction", "maintenance_stats", "save", "_aggregator"):
+                assert hasattr(index, name)
+                with pytest.raises(AttributeError, match=name):
+                    getattr(durable, name)
+        finally:
+            durable.close()
 
     def test_rebuild_is_journaled(self, tmp_path):
         """Regression: an unjournaled rebuild made acknowledged sequences
