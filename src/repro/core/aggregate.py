@@ -322,7 +322,9 @@ class SubproblemAggregator:
         return self._pair_indexes, self._columns
 
     # ------------------------------------------------------------------ updates
-    def _apply_write(self, ids: np.ndarray, matrix: Optional[np.ndarray] = None) -> None:
+    def _apply_write(
+        self, ids: np.ndarray, matrix: Optional[np.ndarray] = None, located=None
+    ) -> None:
         """Apply an insert (``matrix`` given) or a delete of ``ids``.
 
         The session absorbs the write first: its world is the row store, so
@@ -332,11 +334,12 @@ class SubproblemAggregator:
         dropped for a rebuild on the next legacy query), deleted ids retire,
         and the session may schedule LSM maintenance — either hand the due
         flush/merge to its background compactor or, inline, perform it now
-        under the already held reentrant lock.
+        under the already held reentrant lock.  ``located`` is the session's
+        lookup of a delete's ids, when the caller has already made it.
         """
         session = self._serving_session
         if matrix is None:
-            session.apply_bulk_delete(ids)
+            session.apply_bulk_delete(ids, located)
         else:
             session.apply_bulk_insert(ids, matrix)
         self._mutations += 1
@@ -434,17 +437,18 @@ class SubproblemAggregator:
             require_unique(ids)
         self._delete_live(ids)
 
-    def _delete_live(self, ids: np.ndarray) -> None:
+    def _delete_live(self, ids: np.ndarray, located=None) -> None:
         """The one delete body, over unique ids.
 
         The session's tombstoning is the one lookup: it validates every id
         before it publishes (see :meth:`_apply_write`).  The sharded engine
-        calls this after locating the ids across its shards.
+        calls this with the lookup (``located``) by which it found the ids
+        in this shard, so the shard does not search for them again.
         """
         with self._write_lock:
             self._check_closed()
             if len(ids):
-                self._apply_write(ids)
+                self._apply_write(ids, located=located)
 
     # ------------------------------------------------------------------ querying
     def query(self, query: SDQuery) -> TopKResult:

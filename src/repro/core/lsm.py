@@ -7,8 +7,10 @@ session therefore keeps its state as a small log-structured merge hierarchy:
 
 * **Delta.**  A bounded mutable :class:`DeltaState` absorbs every insert as a
   plain array append (no tree, no sorted-column splices) and every delete of a
-  not-yet-flushed row as a mask clear.  Published copy-on-write, so readers
-  pin immutable values exactly as before.
+  not-yet-flushed row as a mask clear on a copied mask.  Its values are
+  prefixes of shared append buffers: an insert writes past the published
+  length and publishes the longer prefix, which a reader pinned on the shorter
+  one never sees, so readers pin immutable values exactly as before.
 * **Levels.**  Immutable :class:`Level`\\ s each wrap one frozen
   :class:`~repro.core.batch.SessionState` — today's flattened execution state,
   mmap-able through the PR 5 snapshot format.  A delete of a level-resident
@@ -54,7 +56,7 @@ from repro.core.batch import (
 from repro.core.deadline import Deadline
 from repro.core.results import BatchResult, Match, TopKResult
 
-__all__ = ["DeltaState", "Level", "LsmWorld", "LsmSession"]
+__all__ = ["DeleteLookup", "DeltaState", "Level", "LsmWorld", "LsmSession"]
 
 #: Delta occupancy (live rows) that schedules a flush.
 _FLUSH_ROWS = 256
@@ -105,6 +107,24 @@ _FP_MERGE = faults.declare_fault_point(
 )
 
 
+def _tier(size: int, fanout: int) -> int:
+    """The size tier of a level of ``size`` live rows: tier ``t`` holds the
+    sizes in ``[fanout**(t - 1/2), fanout**(t + 1/2))``.
+
+    Centred on the powers of the fanout, so that a full flush
+    (``flush_rows``, 4**4 at the defaults) and one that lost a few rows to
+    deletes share a tier.  Integers only, comparing ``size**2`` with odd
+    powers of the fanout: a float log misplaces exact powers
+    (``int(math.log(1000, 10)) == 2``).
+    """
+    square = max(size, 1) ** 2
+    tier, bound = 0, fanout
+    while square >= bound:
+        tier += 1
+        bound *= fanout * fanout
+    return tier
+
+
 def _locate_live(sorted_rows, row_order, live, ids):
     """Positions of ``ids`` where present *and* live, else -1 (vectorized)."""
     if len(sorted_rows) == 0:
@@ -114,16 +134,78 @@ def _locate_live(sorted_rows, row_order, live, ids):
     return np.where((sorted_rows[at] == ids) & live[positions], positions, -1)
 
 
+#: Rows a delta's first append buffer holds; each outgrown buffer doubles.
+_DELTA_CAPACITY = 64
+
+
+class _AppendBuffer:
+    """Arrays that successive published deltas share as prefixes.
+
+    ``length`` is how far the arrays have been written.  The published
+    value whose arrays end there is the buffer's *tip*, and only an
+    extension of the tip writes in place: it fills the rows past
+    ``length`` and publishes the longer prefix.  Anything else copies its
+    prefix into a fresh buffer first, so no prefix a reader holds is ever
+    written again.  Arrays are column-major, so each column of a 2-d one
+    is a contiguous view.
+    """
+
+    __slots__ = ("arrays", "length")
+
+    def __init__(self, prefix: Sequence[np.ndarray], capacity: int) -> None:
+        length = len(prefix[0])
+        self.arrays = []
+        for values in prefix:
+            array = np.empty((capacity,) + values.shape[1:], dtype=values.dtype, order="F")
+            array[:length] = values
+            self.arrays.append(array)
+        self.length = length
+
+    @staticmethod
+    def capacity_for(rows: int) -> int:
+        """The buffer size for ``rows``: the smallest doubling that holds them."""
+        capacity = _DELTA_CAPACITY
+        while capacity < rows:
+            capacity *= 2
+        return capacity
+
+    @classmethod
+    def tip(
+        cls, buffer: Optional["_AppendBuffer"], prefix: Sequence[np.ndarray], grown: int
+    ) -> "_AppendBuffer":
+        """A buffer to write rows ``len(prefix[0]):grown`` of, marked written
+        to ``grown``: ``buffer`` itself when ``prefix`` (a value's views of
+        it) is its tip and ``grown`` rows fit, else a fresh copy of
+        ``prefix``."""
+        if buffer is None or buffer.length != len(prefix[0]) or grown > len(buffer.arrays[0]):
+            buffer = cls(prefix, cls.capacity_for(grown))
+        buffer.length = grown
+        return buffer
+
+
 class DeltaState:
     """One immutable published value of the mutable delta.
 
-    Row-major append arrays plus a validity mask; the per-dimension column
-    cache lets the shared scoring kernels (:meth:`QuerySession._score_one`,
+    Row ids, a matrix and a validity mask; the per-dimension columns let
+    the shared scoring kernels (:meth:`QuerySession._score_one`,
     ``_score_block``) read a delta exactly like a
     :class:`~repro.core.batch.SessionState`.  ``num_live`` counts rows that
     have not been deleted again while still delta-resident — a
     delta-absorbed delete simply drops out of the live count instead of
     being double-counted as level garbage.
+
+    Every array is a ``[:len(rows)]`` view of an :class:`_AppendBuffer`,
+    made once when the value is built: one buffer holds the ids and the
+    matrix (column-major, so each column is a contiguous view of it), one
+    the mask and one the sorted ids and their row order.  An insert
+    appends in place to each buffer its parent is the tip of, so its cost
+    does not grow with the delta, and a pinned reader's shorter views
+    never change.  A delete copies the mask into a fresh
+    buffer and shares the other views.  Ids above every delta id, which is
+    what auto-assigned ids are, extend the sorted ids in place; any other id
+    re-sorts them into a fresh buffer.  A value built from bare arrays (an
+    empty delta, a restored one) owns no buffer and copies out on its first
+    insert, so read-only (``mmap``) arrays are never written.
     """
 
     __slots__ = (
@@ -134,9 +216,20 @@ class DeltaState:
         "sorted_rows",
         "row_order",
         "columns_by_dim",
+        "buffers",
     )
 
-    def __init__(self, rows, matrix, live, num_live, sorted_rows, row_order, columns_by_dim):
+    def __init__(
+        self,
+        rows,
+        matrix,
+        live,
+        num_live,
+        sorted_rows,
+        row_order,
+        columns_by_dim,
+        buffers: Tuple[Optional[_AppendBuffer], ...] = (None, None, None),
+    ):
         self.rows = rows
         self.matrix = matrix
         self.live = live
@@ -144,6 +237,8 @@ class DeltaState:
         self.sorted_rows = sorted_rows
         self.row_order = row_order
         self.columns_by_dim = columns_by_dim
+        #: The ``(data, mask, order)`` buffers the views above are prefixes of.
+        self.buffers = buffers
 
     @classmethod
     def empty(cls, num_dims: int, scored_dims) -> "DeltaState":
@@ -158,26 +253,44 @@ class DeltaState:
         )
 
     def with_inserts(self, row_ids: np.ndarray, matrix: np.ndarray) -> "DeltaState":
-        rows = np.concatenate([self.rows, row_ids])
-        full = np.vstack([self.matrix, matrix]) if len(self.matrix) else matrix.copy()
-        live = np.concatenate([self.live, np.ones(len(row_ids), dtype=bool)])
-        columns = {
-            dim: np.concatenate([values, np.ascontiguousarray(matrix[:, dim])])
-            for dim, values in self.columns_by_dim.items()
-        }
-        order = np.argsort(rows, kind="stable")
+        data, mask, order = self.buffers
+        length = len(self.rows)
+        grown = length + len(row_ids)
+        data = _AppendBuffer.tip(data, (self.rows, self.matrix), grown)
+        ids_buffer, matrix_buffer = data.arrays
+        ids_buffer[length:grown] = row_ids
+        matrix_buffer[length:grown] = matrix
+        rows, full = ids_buffer[:grown], matrix_buffer[:grown]
+        mask = _AppendBuffer.tip(mask, (self.live,), grown)
+        mask.arrays[0][length:grown] = True
+        if (length == 0 or row_ids[0] > self.sorted_rows[-1]) and (
+            len(row_ids) == 1 or bool((row_ids[1:] > row_ids[:-1]).all())
+        ):
+            order = _AppendBuffer.tip(order, (self.sorted_rows, self.row_order), grown)
+            sorted_buffer, order_buffer = order.arrays
+            sorted_buffer[length:grown] = row_ids
+            order_buffer[length:grown] = np.arange(length, grown)
+        else:
+            # Never in place: readers hold views of the old sorted prefix.
+            resorted = np.argsort(rows, kind="stable")
+            order = _AppendBuffer((rows[resorted], resorted), len(ids_buffer))
+            sorted_buffer, order_buffer = order.arrays
         return DeltaState(
             rows=rows,
             matrix=full,
-            live=live,
+            live=mask.arrays[0][:grown],
             num_live=self.num_live + len(row_ids),
-            sorted_rows=rows[order],
-            row_order=order,
-            columns_by_dim=columns,
+            sorted_rows=sorted_buffer[:grown],
+            row_order=order_buffer[:grown],
+            columns_by_dim={dim: full[:, dim] for dim in self.columns_by_dim},
+            buffers=(data, mask, order),
         )
 
     def with_deletes(self, positions: np.ndarray) -> "DeltaState":
-        live = self.live.copy()
+        data, _mask, order = self.buffers
+        length = len(self.live)
+        mask = _AppendBuffer((self.live,), _AppendBuffer.capacity_for(length))
+        live = mask.arrays[0][:length]
         live[positions] = False
         return DeltaState(
             rows=self.rows,
@@ -187,6 +300,7 @@ class DeltaState:
             sorted_rows=self.sorted_rows,
             row_order=self.row_order,
             columns_by_dim=self.columns_by_dim,
+            buffers=(data, mask, order),
         )
 
     def locate_live(self, ids: np.ndarray) -> np.ndarray:
@@ -245,11 +359,21 @@ class LsmWorld:
     collect for it.
     """
 
-    __slots__ = ("levels", "delta")
+    __slots__ = ("levels", "delta", "level_plan")
 
-    def __init__(self, levels: Tuple[Level, ...], delta: DeltaState) -> None:
+    def __init__(
+        self, levels: Tuple[Level, ...], delta: DeltaState, level_plan: Optional[Tuple] = None
+    ) -> None:
         self.levels = tuple(levels)
         self.delta = delta
+        #: What maintenance planning derives from ``levels`` alone
+        #: (:meth:`LsmSession._level_plan`), filled by the first plan.
+        self.level_plan = level_plan
+
+    def with_delta(self, delta: DeltaState) -> "LsmWorld":
+        """The successor holding ``delta`` and these same levels, and so
+        what was already derived from them."""
+        return LsmWorld(self.levels, delta, self.level_plan)
 
     # ------------------------------------------------------------- aggregates
     @property
@@ -319,6 +443,23 @@ class LsmWorld:
             "delta_rows": len(self.delta.rows),
             "delta_live": self.delta.num_live,
         }
+
+
+class DeleteLookup:
+    """One lookup of a delete (:meth:`LsmSession.locate_deletes`).
+
+    Its positions hold only in ``world``, the world it read, so it is
+    published only while that world is current.
+    """
+
+    __slots__ = ("world", "successor", "absorbed")
+
+    def __init__(self, world: LsmWorld, successor: LsmWorld, absorbed: int):
+        self.world = world
+        #: ``world`` with the ids found live tombstoned.
+        self.successor = successor
+        #: How many of them the delta held.
+        self.absorbed = absorbed
 
 
 class LsmSession(QuerySession):
@@ -392,53 +533,63 @@ class LsmSession(QuerySession):
 
     # ------------------------------------------------------------ write path
     def apply_bulk_insert(self, row_ids, matrix) -> None:
-        """Absorb inserted rows into the delta (O(delta), no tree surgery)."""
+        """Absorb inserted rows into the delta: an append, no tree surgery."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         matrix = np.asarray(matrix, dtype=float)
         if len(row_ids) == 0:
             return
         world = self._world
-        successor = LsmWorld(world.levels, world.delta.with_inserts(row_ids, matrix))
+        successor = world.with_delta(world.delta.with_inserts(row_ids, matrix))
         self.epochs.publish(successor)
         self.patched_inserts += len(row_ids)
 
-    def apply_bulk_delete(self, row_ids) -> None:
+    def locate_deletes(self, row_ids: np.ndarray) -> Tuple[DeleteLookup, np.ndarray]:
+        """Look ``row_ids`` up once in the current world; publish nothing.
+
+        Returns the lookup (the successor world with every live one of
+        them tombstoned) and which of them were live.
+        """
+        world = self._world
+        delta = world.delta
+        at = delta.locate_live(row_ids)
+        found = at >= 0
+        absorbed = int(found.sum())
+        if absorbed:
+            delta = delta.with_deletes(at[found])
+        levels = world.levels
+        if absorbed < len(row_ids):
+            for i, level in enumerate(world.levels):
+                positions = level.locate_live(row_ids)
+                hit = positions >= 0
+                if hit.any():
+                    levels = levels[:i] + (level.with_tombstones(positions[hit]),) + levels[i + 1 :]
+                    found |= hit
+                    if found.all():
+                        break
+        successor = world.with_delta(delta) if levels is world.levels else LsmWorld(levels, delta)
+        return DeleteLookup(world, successor, absorbed), found
+
+    def apply_bulk_delete(self, row_ids, located: Optional[DeleteLookup] = None) -> None:
         """Clear delta bits or copy the owning level's validity mask.
 
         The one lookup of a delete, and its validation: if any id is not a
         live row, raises ``KeyError`` naming the first such id and publishes
-        nothing.
+        nothing.  ``located`` is a lookup of exactly these ids that found
+        them all (:meth:`locate_deletes`); it is published as is while its
+        world is still current, and looked up again if a compactor
+        published in between.
         """
         row_ids = np.asarray(row_ids, dtype=np.int64)
         if len(row_ids) == 0:
             return
-        world = self._world
-        delta = world.delta
-        at = delta.locate_live(row_ids)
-        in_delta = at >= 0
-        absorbed = int(in_delta.sum())
-        if absorbed:
-            delta = delta.with_deletes(at[in_delta])
-        remaining = row_ids[~in_delta]
-        levels = list(world.levels)
-        if len(remaining):
-            resolved = np.zeros(len(remaining), dtype=bool)
-            for i, level in enumerate(levels):
-                positions = level.locate_live(remaining)
-                hit = positions >= 0
-                if hit.any():
-                    levels[i] = level.with_tombstones(positions[hit])
-                    resolved |= hit
-                if resolved.all():
-                    break
-            if not resolved.all():
-                # ``remaining`` keeps the input order: its first miss is the first.
-                missing = int(remaining[np.argmin(resolved)])
-                raise KeyError(f"row id {missing} not present")
-        self.epochs.publish(LsmWorld(tuple(levels), delta))
+        if located is None or located.world is not self._world:
+            located, found = self.locate_deletes(row_ids)
+            if not found.all():
+                raise KeyError(f"row id {int(row_ids[np.argmin(found)])} not present")
+        self.epochs.publish(located.successor)
         # Counters only move once the successor world is actually published;
         # a KeyError above must leave every stat exactly where it was.
-        self.delta_absorbed_deletes += absorbed
+        self.delta_absorbed_deletes += located.absorbed
         self.patched_deletes += len(row_ids)
 
     # ------------------------------------------------------------ maintenance
@@ -446,24 +597,43 @@ class LsmSession(QuerySession):
         delta = world.delta
         return delta.num_live >= self.flush_rows or delta.dead >= self.flush_rows
 
-    def _pick_tier_merge(self, world: LsmWorld) -> Optional[Tuple[int, ...]]:
+    def _pick_tier_merge(self, levels: Tuple[Level, ...]) -> Optional[Tuple[int, ...]]:
         """Size-tiered pick: the smallest tier holding >= fanout levels."""
         tiers: Dict[int, List[Level]] = {}
-        for level in world.levels:
-            size = max(level.state.num_live, 1)
-            tier = int(math.log(size, self.fanout)) if size > 1 else 0
-            tiers.setdefault(tier, []).append(level)
+        for level in levels:
+            tiers.setdefault(_tier(level.state.num_live, self.fanout), []).append(level)
         for tier in sorted(tiers):
             members = tiers[tier]
             if len(members) >= self.fanout:
                 return tuple(level.seq for level in members)
         return None
 
+    def _level_plan(self, world: LsmWorld) -> Tuple:
+        """``(tier merge, level tombstones, level live rows)`` of ``world``.
+
+        Derived once per levels tuple and kept on the world, as one
+        immutable value that a successor keeping the levels (an insert's, a
+        delta-resident delete's, :meth:`LsmWorld.with_delta`) inherits.
+        Planners that race (a writer and the background compactor) at
+        worst derive it twice, and it lives exactly as long as the worlds
+        that hold it.
+        """
+        plan = world.level_plan
+        if plan is None:
+            levels = world.levels
+            plan = (
+                self._pick_tier_merge(levels),
+                sum(level.state.tombstoned for level in levels),
+                sum(level.state.num_live for level in levels),
+            )
+            world.level_plan = plan
+        return plan
+
     def _plan_maintenance(self, world: LsmWorld):
         """The next due structure op, or None: flush first, then merges."""
         if self._flush_due(world):
             return ("flush",)
-        merge = self._pick_tier_merge(world)
+        merge, tombstoned, level_live = self._level_plan(world)
         if merge is not None:
             return ("compact", merge)
         # Garbage collection: the reflatten threshold, as one compaction
@@ -471,9 +641,8 @@ class LsmSession(QuerySession):
         # the delta backlog is the flush trigger's business, and a
         # delta-absorbed delete contributes to neither (its row never
         # became level garbage).
-        tombstoned = world.tombstoned
         if tombstoned > 0 and tombstoned > _REFLATTEN_THRESHOLD * max(
-            world.num_live, 1
+            level_live + world.delta.num_live, 1
         ):
             return ("compact", tuple(level.seq for level in world.levels))
         return None
@@ -570,7 +739,7 @@ class LsmSession(QuerySession):
         fresh = DeltaState.empty(self._aggregator._num_dims, scored)
         if delta.num_live == 0:
             # Every delta row died before flushing: just drop the arrays.
-            self.epochs.publish(LsmWorld(world.levels, fresh))
+            self.epochs.publish(world.with_delta(fresh))
             self.flushes += 1
             return True
         alive = delta.live_positions()

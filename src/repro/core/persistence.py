@@ -992,7 +992,8 @@ def _capture_lsm_arrays(world: LsmWorld, arrays: Dict[str, np.ndarray]) -> None:
     :func:`_rebuild_level`.  That relies on a level's pairs being laid out in
     bulk and never patched (only a ``TopKIndex`` appends to or tombstones a
     flat view), which is checked here rather than stored.  The delta is
-    stored verbatim.
+    stored verbatim: the prefix views it publishes, never the spare capacity
+    of its append buffers.
     """
     for i, level in enumerate(world.levels):
         state = level.state
@@ -1239,7 +1240,9 @@ def _restore_lsm_session(
     checkpointed (:func:`_rebuild_level`); format v1 levels are laid out
     afresh (:func:`_relaid_level`).  The delta's row-id lookup structures are
     recomputed from its arrays (cheap — the delta is bounded by the flush
-    threshold).  A pre-LSM ("flat", format v1) snapshot holds one execution
+    threshold).  It owns no append buffer, so its first insert copies it
+    out and never writes the loaded (possibly read-only ``mmap``) arrays.
+    A pre-LSM ("flat", format v1) snapshot holds one execution
     state: it restores as level 1 of a world with an empty delta, under the
     options its payload's ``lsm_options`` names (by default the stock
     ones).  Every other snapshot reads them from ``session``; the

@@ -449,27 +449,34 @@ class ShardedIndex:
         Raises ``KeyError("row id N not present")`` for an unknown or
         already-deleted id — the same contract as the flat engines.
         """
-        with self._write_lock:
-            shard = self.shard_of(row_id)
-            ids = np.array([row_id], dtype=np.int64)
-            self._shards[shard]._delete_live(ids)
-            self._retired.add(ids)
+        self.bulk_delete([row_id])
 
     def bulk_delete(self, row_ids: Sequence[int]) -> None:
-        """Delete many rows at once (one bulk patch per touched shard)."""
+        """Delete many rows at once (one bulk patch per touched shard).
+
+        Every id is validated before any shard publishes, so a bad id
+        cannot half-apply the batch.  Each shard looks up, once, only the
+        ids no earlier shard holds, and its owning session publishes that
+        same lookup (:meth:`LsmSession.locate_deletes`).
+        """
         ids = as_row_ids(row_ids)
         if len(ids) > 1:
             require_unique(ids)
         with self._write_lock:
-            # Validate everything up front so a bad id cannot half-apply the batch.
-            where = self.locate(ids)
-            if (where < 0).any():
-                raise KeyError(f"row id {int(ids[np.argmax(where < 0)])} not present")
-            for s in range(self.num_shards):
-                members = ids[where == s]
-                if len(members):
-                    self._shards[s]._delete_live(members)
-                    self._retired.add(members)
+            pending = np.arange(len(ids))
+            lookups = []
+            for s, shard in enumerate(self._shards):
+                if not len(pending):
+                    break
+                lookup, found = shard.serving_session().locate_deletes(ids[pending])
+                if found.any():
+                    lookups.append((s, ids[pending[found]], lookup))
+                    pending = pending[~found]
+            if len(pending):
+                raise KeyError(f"row id {int(ids[pending[0]])} not present")
+            for s, members, lookup in lookups:
+                self._shards[s]._delete_live(members, lookup)
+                self._retired.add(members)
 
     # --------------------------------------------------------------- rebalance
     def rebalance(self) -> bool:
