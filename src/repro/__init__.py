@@ -30,7 +30,7 @@ from repro.core.results import (
     TopKResult,
 )
 from repro.core.sdindex import SDIndex
-from repro.core.sharding import ShardedIndex, ShardedXYIndex, ShardRouter
+from repro.core.sharding import ShardedIndex, ShardRouter
 from repro.core.top1 import Top1Index
 from repro.core.topk import TopKIndex
 from repro.faults import FaultPlane, FaultRule, InjectedFault
@@ -69,7 +69,6 @@ __all__ = [
     "ShardCoverage",
     "SDIndex",
     "ShardedIndex",
-    "ShardedXYIndex",
     "ShardRouter",
     "Top1Index",
     "TopKIndex",

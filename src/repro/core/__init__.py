@@ -15,7 +15,7 @@ from repro.core.persistence import (
 from repro.core.query import DimensionRole, QueryWeights, SDQuery, sd_score, sd_scores
 from repro.core.results import IndexStats, Match, TopKResult
 from repro.core.sdindex import SDIndex, SDIndexSnapshot
-from repro.core.sharding import ShardedIndex, ShardedSnapshot, ShardedXYIndex, ShardRouter
+from repro.core.sharding import ShardedIndex, ShardedSnapshot, ShardRouter
 from repro.core.top1 import Top1Index, Top1Snapshot
 from repro.core.topk import TopKIndex, TopKSnapshot
 
@@ -39,7 +39,6 @@ __all__ = [
     "SDIndexSnapshot",
     "ShardedIndex",
     "ShardedSnapshot",
-    "ShardedXYIndex",
     "ShardRouter",
     "Top1Index",
     "Top1Snapshot",

@@ -47,10 +47,14 @@ module amortizes it:
   (``REPRO_BENCH_BATCH_MAX_OVERFETCH``).
 * **Maintained sessions.**  A :class:`QuerySession` is not a throw-away
   snapshot: the owning aggregator pushes every ``insert``/``delete``/
-  ``bulk_insert``/``bulk_delete`` into its live sessions, which are
-  :class:`repro.core.lsm.LsmSession`\\ s — a mutable delta over immutable
+  ``bulk_insert``/``bulk_delete`` into its one session, a
+  :class:`repro.core.lsm.LsmSession` — a mutable delta over immutable
   levels, each level one :class:`SessionState` these kernels execute against
   (DESIGN.md section 11).
+* **One pipeline.**  The kernels are functions of ``(state, spec)`` plus the
+  engine's exact scorer, so a :class:`~repro.core.topk.TopKIndex` flat view
+  runs them too, read as a one-pair level (:meth:`_FlatTree.level`) and
+  verified with its own normalized-then-scaled score (:func:`batch_topk_2d`).
 
 This makes the flattened arrays the primary execution substrate: the ``m = 1``
 fast path of ``SDIndex.query`` runs through the same kernels and stays
@@ -83,9 +87,10 @@ from repro.core.query import SDQuery
 from repro.core.results import BatchResult, Match, TopKResult
 
 #: Fault point at batch-kernel dispatch: fires once per level the
-#: filter-and-verify kernel runs on (``QuerySession._level_filter``) before
-#: it enumerates a candidate, so an injected raise or stall models a stuck
-#: kernel without ever producing a torn result (DESIGN.md §9).
+#: filter-and-verify kernel runs on (:func:`_level_filter`, a ``TopKIndex``
+#: view included) before it enumerates a candidate, so an injected raise or
+#: stall models a stuck kernel without ever producing a torn result
+#: (DESIGN.md §9).
 _FP_KERNEL = faults.declare_fault_point(
     "batch.kernel", "batch kernel dispatch over one pinned session state"
 )
@@ -219,9 +224,9 @@ def _seeded_threshold(
     ``score_sample(positions)`` must return the ``(m, pool)`` exact scores of
     the sampled positions, at most ``_SEED_POOL`` of them.  Each query's k-th
     best seed score is a lower bound on its true k-th best, loosened by
-    :func:`_prune_bound`'s float slack so pruning stays admissible.  Shared
-    by :meth:`QuerySession.run` and :func:`batch_topk_2d` so the two engines
-    can never drift apart here.
+    :func:`_prune_bound`'s float slack so pruning stays admissible.  The
+    seeding of :func:`_level_execute`, which every engine's lone level runs
+    (the LSM path pools one seed over a layered world instead).
     """
     sample = _seed_sample(n_live, _SEED_POOL)
     seed_scores = score_sample(sample)
@@ -278,6 +283,8 @@ def coerce_point_batch(qx, qy, k) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     qy = np.atleast_1d(np.asarray(qy, dtype=float))
     if qx.shape != qy.shape or qx.ndim != 1:
         raise ValueError("qx and qy must be 1-d arrays of equal length")
+    if not (np.isfinite(qx).all() and np.isfinite(qy).all()):
+        raise ValueError("query coordinates must be finite")
     return qx, qy, _coerce_ks(k, len(qx))
 
 
@@ -546,14 +553,15 @@ class _FlatTree:
     same arrays from x-sorted points and :func:`bulk_leaf_sizes`, which is
     how every execution state is built — no tree at all.
 
-    Only :class:`~repro.core.topk.TopKIndex` patches a flat view:
-    :meth:`append_points` adds new rows by assigning them to the covering
-    leaf and loosening that leaf's per-angle bounds (admissible, merely
-    looser), and :meth:`tombstone_rows` marks deletions in the ``live``
-    validity mask.  Both accumulate garbage that :meth:`garbage_fraction`
-    reports so the index can reflatten past a threshold.  The pair views of
-    an LSM level are never patched: a level's deletes clear its own validity
-    mask, and its inserts land in the delta (DESIGN.md section 11).
+    Only :class:`~repro.core.topk.TopKIndex` patches a flat view, always on
+    a :meth:`clone` it has not yet published: :meth:`append_points` adds new
+    rows by assigning them to the covering leaf and loosening that leaf's
+    per-angle bounds (admissible, merely looser), and :meth:`tombstone_rows`
+    marks deletions in the ``live`` validity mask.  Both accumulate garbage
+    that :meth:`garbage_fraction` reports so the index can reflatten past a
+    threshold.  A published view is read through :meth:`level`.  The pair
+    views of an LSM level are never patched: a level's deletes clear its own
+    validity mask, and its inserts land in the delta (DESIGN.md section 11).
     """
 
     __slots__ = (
@@ -574,7 +582,7 @@ class _FlatTree:
         "grid_cos",
         "grid_sin",
         "grid_rad",
-        "_pos_of_row",
+        "_level",
     )
 
     def __init__(self, tree) -> None:
@@ -699,7 +707,7 @@ class _FlatTree:
         self.live = np.ones(len(self.rows), dtype=bool)
         self.appended = 0
         self.dead = 0
-        self._pos_of_row: Optional[Dict[int, int]] = None
+        self._level: Optional["SessionState"] = None
 
     def _recompute_leaf_bounds(self, sizes: np.ndarray) -> None:
         """Per-leaf bounds recomputed from the stored points on the bound grid.
@@ -784,10 +792,6 @@ class _FlatTree:
             np.minimum.at(self.leaf_bounds[:, ai, _MIN_A], leaves, wa)
             np.maximum.at(self.leaf_bounds[:, ai, _MAX_B], leaves, wb)
             np.minimum.at(self.leaf_bounds[:, ai, _MIN_B], leaves, wb)
-        if self._pos_of_row is not None:
-            start = len(self.rows)
-            for offset, row in enumerate(row_ids):
-                self._pos_of_row[int(row)] = start + offset
         self.rows = np.concatenate([self.rows, row_ids])
         self.x = np.concatenate([self.x, xs])
         self.y = np.concatenate([self.y, ys])
@@ -797,14 +801,15 @@ class _FlatTree:
         return leaves
 
     def tombstone_rows(self, row_ids) -> None:
-        """Mark rows dead in the validity mask (bounds stay admissible)."""
-        if self._pos_of_row is None:
-            self._pos_of_row = {int(row): i for i, row in enumerate(self.rows)}
-        for row in row_ids:
-            position = self._pos_of_row[int(row)]
-            if self.live[position]:
-                self.live[position] = False
-                self.dead += 1
+        """Mark rows dead in the validity mask (bounds stay admissible).
+
+        One vectorized compare finds them: an id occurs once in a view's
+        life, because the tree refuses a deleted id until ``rebuild()``,
+        which drops the view.
+        """
+        positions = np.flatnonzero(np.isin(self.rows, row_ids) & self.live)
+        self.live[positions] = False
+        self.dead += len(positions)
 
     def garbage_fraction(self) -> float:
         """Accumulated garbage + imbalance relative to the live population.
@@ -821,9 +826,9 @@ class _FlatTree:
         Shares the large append-replaced arrays (``rows``/``x``/``y``/
         ``leaf_of_pos`` are swapped wholesale by :meth:`append_points`) and
         copies exactly the ones maintenance mutates in place: the validity
-        mask, the per-leaf bounds and x-spans, and the lazy id->position map.
-        A reader holding the original therefore never observes the clone's
-        subsequent patches.
+        mask and the per-leaf bounds and x-spans.  A reader holding the
+        original therefore never observes the clone's subsequent patches.
+        The clone starts without the original's :meth:`level`.
         """
         dup = _FlatTree.__new__(_FlatTree)
         dup.angles = self.angles
@@ -843,10 +848,38 @@ class _FlatTree:
         dup.grid_cos = self.grid_cos
         dup.grid_sin = self.grid_sin
         dup.grid_rad = self.grid_rad
-        dup._pos_of_row = (
-            None if self._pos_of_row is None else dict(self._pos_of_row)
-        )
+        dup._level = None
         return dup
+
+    def level(self) -> "SessionState":
+        """This published view read as a one-pair level, built on its first
+        read and kept on the view.
+
+        Dimension 0 is x (attractive) and 1 is y (repulsive), so the view is
+        the level's one pair and its positions are the view's: the leaf map
+        is ``leaf_of_pos`` and the validity mask ``live``.  There are no
+        sorted columns, and no id lookup reads the level, so it has no
+        ``row_order``/``sorted_rows``.  Its matrix gathers from ``x`` and
+        ``y`` (:class:`_XYRows`), so a first read after a write copies no
+        coordinates.  Only :func:`batch_topk_2d` calls it.
+        """
+        level = self._level
+        if level is None:
+            level = SessionState(
+                rows=self.rows,
+                matrix=_XYRows(self.x, self.y),
+                live=self.live,
+                num_live=self.live_count,
+                row_order=None,
+                sorted_rows=None,
+                columns_by_dim={0: self.x, 1: self.y},
+                pairs=[(1, 0, self)],
+                pair_leaf_of_position=[self.leaf_of_pos],
+                col_values={},
+                col_positions={},
+            )
+            self._level = level
+        return level
 
     def collapsed(self) -> "_CollapsedTree":
         """A one-pseudo-leaf view aggregating every leaf's stored bounds.
@@ -858,6 +891,21 @@ class _FlatTree:
         it), so the bound stays admissible across maintenance.
         """
         return _CollapsedTree(self)
+
+
+class _XYRows:
+    """A view's ``(x, y)`` rows as a matrix that gathers when indexed:
+    ``rows[positions]`` equals ``np.column_stack((x, y))[positions]``, with
+    no ``(n, 2)`` copy made."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        self.x = x
+        self.y = y
+
+    def __getitem__(self, positions) -> np.ndarray:
+        return np.column_stack((self.x[positions], self.y[positions]))
 
 
 class _CollapsedTree:
@@ -1040,6 +1088,10 @@ class SessionState:
     replaces the level's state with a successor that copies only ``live``
     and counts the dead row in ``tombstoned`` (:meth:`with_tombstones`).
 
+    A :class:`~repro.core.topk.TopKIndex` view is read as a one-pair state
+    too (:meth:`_FlatTree.level`), with no sorted columns and no id->position
+    map.
+
     **Read constants.**  What every read of the level would otherwise
     recompute — each pair's collapsed bound, the level's magnitude and its
     live positions — is filled lazily, once, by the first read that needs
@@ -1166,15 +1218,17 @@ class QuerySession:
     :meth:`run_one`) can then be answered against the shared state with
     :meth:`run`.
 
-    This class is the read side: the vectorized kernels over one level's
-    :class:`SessionState` (``_level_*``, ``_source_*``; :meth:`_level_execute`
-    seeds its own threshold, :meth:`_level_filter` takes one) and the epoch
-    manager readers pin.  Its subclass :class:`repro.core.lsm.LsmSession`,
-    the one session each aggregator owns, publishes layered worlds of such
-    levels plus a delta.  It supplies :meth:`_build`, the ``apply_*`` write
-    surface and the world-level ``_execute``/``_upper_bounds``/
-    ``_sample_scores``/``_data_magnitude`` that :meth:`run` and the bound
-    queries call, each of which runs these kernels per level.
+    This class is the read surface — :meth:`run`, the bound queries and the
+    epoch manager readers pin — and the builder of level states.  The
+    kernels it reads through are module functions of ``(state, spec)``
+    (``_level_*``, ``_source_*``; :func:`_level_execute` seeds its own
+    threshold, :func:`_level_filter` takes one).  Its subclass
+    :class:`repro.core.lsm.LsmSession`, the one session each aggregator
+    owns, publishes layered worlds of such levels plus a delta.  It supplies
+    :meth:`_build`, the ``apply_*`` write surface and the world-level
+    ``_execute``/``_upper_bounds``/``_sample_scores``/``_data_magnitude``
+    that :meth:`run` and the bound queries call, each of which runs these
+    kernels per level.
 
     **Concurrency.**  Published states are immutable (DESIGN.md section 6):
     every update builds a successor copy-on-write and publishes it
@@ -1306,93 +1360,6 @@ class QuerySession:
         """
         return SessionSnapshot(self, self.epochs.pin())
 
-    # ------------------------------------------------------------------ helpers
-    def _weight_column(self, spec: BatchQuerySpec, dim: int) -> np.ndarray:
-        """The per-query weight column of a scored dimension."""
-        aggregator = self._aggregator
-        if dim in aggregator.repulsive:
-            return spec.alpha[:, aggregator.repulsive.index(dim)]
-        return spec.beta[:, aggregator.attractive.index(dim)]
-
-    def _score_block(
-        self, state: SessionState, positions: np.ndarray, spec: BatchQuerySpec
-    ) -> np.ndarray:
-        """Scores of the sampled positions for every query: ``(m, p)``.
-
-        Always accumulates in index term order — the result only seeds the
-        pruning bound, and ``_PRUNE_SLACK`` absorbs any ulp-level difference
-        from a query's own term order.
-        """
-        aggregator = self._aggregator
-        scores = np.zeros((len(spec), len(positions)))
-        for i, dim in enumerate(aggregator.repulsive):
-            values = state.columns_by_dim[dim][positions]
-            scores += spec.alpha[:, i][:, None] * np.abs(
-                values[None, :] - spec.points[:, dim][:, None]
-            )
-        for i, dim in enumerate(aggregator.attractive):
-            values = state.columns_by_dim[dim][positions]
-            scores -= spec.beta[:, i][:, None] * np.abs(
-                values[None, :] - spec.points[:, dim][:, None]
-            )
-        return scores
-
-    def _score_one(
-        self, state: SessionState, positions: np.ndarray, spec: BatchQuerySpec, j: int
-    ) -> np.ndarray:
-        """Exact scores of candidate positions for query ``j``.
-
-        Accumulates the weighted terms in the query's own role order — the
-        exact floating-point order of
-        :func:`repro.core.query.make_fast_scorer` — so each score is
-        bit-identical to the sequential path's.
-        """
-        aggregator = self._aggregator
-        rep_order, att_order = spec.term_order(j)
-        scores = np.zeros(len(positions))
-        for dim in rep_order:
-            weight = spec.alpha[j, aggregator.repulsive.index(dim)]
-            scores += weight * np.abs(
-                state.columns_by_dim[dim][positions] - spec.points[j, dim]
-            )
-        for dim in att_order:
-            weight = spec.beta[j, aggregator.attractive.index(dim)]
-            scores -= weight * np.abs(
-                state.columns_by_dim[dim][positions] - spec.points[j, dim]
-            )
-        return scores
-
-    def _column_max_contribution(
-        self, state: SessionState, dim: int, spec: BatchQuerySpec
-    ) -> np.ndarray:
-        """Per-query maximum contribution of one leftover 1D subproblem.
-
-        Repulsive columns contribute at most ``alpha * farthest_distance``;
-        attractive columns at most ``-beta * nearest_distance``.  Both probes
-        run over all queries in one ``searchsorted``-style kernel.  The values
-        may include tombstoned rows — a dead row can only move the farthest
-        value out or the nearest value in, which loosens the bound admissibly.
-        """
-        values = state.col_values[dim]
-        targets = spec.points[:, dim]
-        weight = self._weight_column(spec, dim)
-        if len(values) == 0:
-            return np.zeros(len(spec))
-        if dim in self._aggregator.repulsive:
-            farthest = np.maximum(
-                np.abs(values[0] - targets), np.abs(values[-1] - targets)
-            )
-            return weight * farthest
-        positions = np.searchsorted(values, targets)
-        nearest = np.full(len(targets), np.inf)
-        right = positions < len(values)
-        nearest[right] = np.abs(values[np.minimum(positions[right], len(values) - 1)] - targets[right])
-        left = positions > 0
-        nearest[left] = np.minimum(
-            nearest[left], np.abs(values[positions[left] - 1] - targets[left])
-        )
-        return -weight * nearest
-
     def sample_scores(self, queries, pool: int, k=None, alpha=None, beta=None) -> np.ndarray:
         """Scores of an evenly spaced live sample against every query: ``(m, p)``.
 
@@ -1404,15 +1371,6 @@ class QuerySession:
         """
         spec = self._coerce_spec(queries, k=k, alpha=alpha, beta=beta)
         return self._sample_scores(self._state, spec, pool)
-
-    def _source_sample_scores(
-        self, source, spec: BatchQuerySpec, pool: int
-    ) -> np.ndarray:
-        """:meth:`sample_scores` over one level's state or the delta."""
-        if source.num_live == 0:
-            return np.empty((len(spec), 0))
-        live = source.live_positions()
-        return self._score_block(source, live[_seed_sample(len(live), pool)], spec)
 
     def data_magnitude(self) -> float:
         """Largest absolute scored coordinate in the snapshot (0.0 when empty)."""
@@ -1432,30 +1390,6 @@ class QuerySession:
         """
         spec = self._coerce_spec(queries, k=k, alpha=alpha, beta=beta)
         return self._upper_bounds(self._state, spec)
-
-    def _level_upper_bounds(
-        self, state: SessionState, spec: BatchQuerySpec
-    ) -> np.ndarray:
-        """:meth:`upper_bounds` over one level's state."""
-        m = len(spec)
-        if state.num_live == 0:
-            return np.full(m, -math.inf)
-        ub = np.zeros(m)
-        for (rep_dim, att_dim, _flat), collapsed in zip(
-            state.pairs, state.collapsed_pairs()
-        ):
-            if collapsed.num_leaves == 0:
-                return np.full(m, -math.inf)
-            ub += leaf_score_bounds(
-                collapsed,
-                self._weight_column(spec, rep_dim),
-                self._weight_column(spec, att_dim),
-                spec.points[:, att_dim],
-                spec.points[:, rep_dim],
-            )[:, 0]
-        for dim in state.col_values:
-            ub += self._column_max_contribution(state, dim, spec)
-        return ub
 
     def _coerce_spec(self, queries, k=None, alpha=None, beta=None) -> BatchQuerySpec:
         """Normalize ``queries`` to a spec (pre-built specs pass through)."""
@@ -1514,276 +1448,6 @@ class QuerySession:
         # Execute against one consistent published world end to end.
         spec = self._coerce_spec(queries, k=k, alpha=alpha, beta=beta)
         return self._execute(self._state, spec, lower_bounds, _label, deadline=deadline)
-
-    def _level_execute(
-        self,
-        state: SessionState,
-        spec: BatchQuerySpec,
-        lower_bounds,
-        _label: str,
-        deadline: Optional[Deadline] = None,
-    ) -> BatchResult:
-        """The filter-and-verify pipeline over one level's pinned state, under
-        a threshold seeded from the level's own sample (the flat path and
-        each shard probe); ``lower_bounds``, when given, tighten it."""
-        magnitude = state.magnitude()
-        threshold = np.full(len(spec), -math.inf)
-        if len(spec) and state.num_live:
-            for dim in state.columns_by_dim:
-                magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
-            live_positions = state.live_positions()
-            threshold = _seeded_threshold(
-                lambda sample: self._score_block(state, live_positions[sample], spec),
-                np.minimum(spec.ks, state.num_live),
-                state.num_live,
-                spec.alpha.sum(axis=1) + spec.beta.sum(axis=1),
-                magnitude,
-            )
-            if lower_bounds is not None:
-                threshold = np.maximum(threshold, np.asarray(lower_bounds, dtype=float))
-        return self._level_filter(state, spec, threshold, magnitude, _label, deadline)
-
-    def _level_filter(
-        self,
-        state: SessionState,
-        spec: BatchQuerySpec,
-        threshold: np.ndarray,
-        magnitude: float,
-        _label: str,
-        deadline: Optional[Deadline] = None,
-    ) -> BatchResult:
-        """Filter and verify one level's pinned state under ``threshold``.
-
-        ``threshold`` holds admissible per-query pruning bounds, already
-        lowered by :func:`_prune_bound`'s slack; ``magnitude`` must cover
-        the level's scored coordinates and the queries' (it sizes the
-        verify stage's own slack).  The LSM path passes the threshold it
-        pooled over every source of its world, so no level seeds twice.
-        """
-        faults.fire(_FP_KERNEL)
-        if deadline is not None:
-            deadline.check()
-        m = len(spec)
-        n_live = state.num_live
-        if m == 0:
-            return BatchResult(results=[], algorithm=_label)
-        if n_live == 0:
-            return BatchResult(
-                results=[
-                    TopKResult(matches=[], algorithm=_label)
-                    for _ in range(m)
-                ],
-                algorithm=_label,
-            )
-        ks_eff = np.minimum(spec.ks, n_live)
-        live_positions = state.live_positions()
-
-        # Per-pair leaf bounds (shared traversal + per-partition resolution).
-        pair_ubs: List[np.ndarray] = []
-        for rep_dim, att_dim, flat in state.pairs:
-            pair_ubs.append(
-                leaf_score_bounds(
-                    flat,
-                    self._weight_column(spec, rep_dim),
-                    self._weight_column(spec, att_dim),
-                    spec.points[:, att_dim],
-                    spec.points[:, rep_dim],
-                )
-            )
-
-        column_max = {
-            dim: self._column_max_contribution(state, dim, spec)
-            for dim in state.col_values
-        }
-        weight_scale = spec.alpha.sum(axis=1) + spec.beta.sum(axis=1)
-
-        column_total = np.zeros(m)
-        for contribution in column_max.values():
-            column_total = column_total + contribution
-
-        candidates = self._enumerate_candidates(
-            state, spec, pair_ubs, column_total, column_max, threshold, live_positions
-        )
-
-        results: List[TopKResult] = []
-        for j in range(m):
-            # Verification dominates the kernel; yield to the deadline between
-            # queries so a starved budget stops the batch at a clean boundary.
-            if deadline is not None:
-                deadline.check()
-            positions, cand_bounds = candidates[j]
-            k_eff = int(ks_eff[j])
-            if state.pairs and (
-                len(state.pairs) + len(state.col_values) >= 2
-            ) and len(positions) > max(_VERIFY_POOL, 4 * k_eff):
-                # Stage 2a: per-candidate *tight* bounds.  Summing per-pair
-                # leaf bounds decorrelates the pairs (the bound assumes one
-                # point is simultaneously best in every pair's leaf), which
-                # dominates the residual over-fetch once the leaf bounds
-                # themselves are tight.  Replace the first pair's leaf bound
-                # with that pair's *exact* partial score — still admissible,
-                # far better correlated with the true score — so both the
-                # refine head selection and the re-prune below work on bounds
-                # that rank candidates nearly like their exact scores.
-                rep_dim, att_dim, _flat = state.pairs[0]
-                rep_w = self._weight_column(spec, rep_dim)[j]
-                att_w = self._weight_column(spec, att_dim)[j]
-                tight = rep_w * np.abs(
-                    state.columns_by_dim[rep_dim][positions]
-                    - spec.points[j, rep_dim]
-                ) - att_w * np.abs(
-                    state.columns_by_dim[att_dim][positions]
-                    - spec.points[j, att_dim]
-                )
-                tight += column_total[j]
-                for p in range(1, len(state.pairs)):
-                    tight += pair_ubs[p][j][
-                        state.pair_leaf_of_position[p][positions]
-                    ]
-                cand_bounds = np.minimum(cand_bounds, tight)
-            # Stage 2b: tighten the threshold to the exact k-th best of the
-            # best candidates by bound, then re-prune the rest against it.
-            positions, refined, head_count = _refine_candidates(
-                positions,
-                cand_bounds,
-                k_eff,
-                lambda sample: self._score_one(state, sample, spec, j),
-                float(weight_scale[j]),
-                magnitude,
-            )
-            # Exact scorings performed: the refine head plus the final verify
-            # pass (head survivors are rescored — bounded by max(64, 4k)).
-            examined = head_count + len(positions)
-            scores = self._score_one(state, positions, spec, j)
-            top = select_topk(scores, state.rows[positions], k_eff)
-            matches = [
-                Match(
-                    row_id=int(state.rows[positions[i]]),
-                    score=float(scores[i]),
-                    point=tuple(state.matrix[positions[i]]),
-                )
-                for i in top
-            ]
-            results.append(
-                TopKResult(
-                    matches=matches,
-                    candidates_examined=examined,
-                    full_evaluations=examined,
-                    algorithm=_label,
-                )
-            )
-        return BatchResult(results=results, algorithm=_label)
-
-    def _enumerate_candidates(
-        self,
-        state: SessionState,
-        spec: BatchQuerySpec,
-        pair_ubs: List[np.ndarray],
-        column_total: np.ndarray,
-        column_max: Dict[int, np.ndarray],
-        threshold: np.ndarray,
-        live_positions: np.ndarray,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per-query ``(positions, bounds)``, pruned by admissible point bounds.
-
-        With 2D pairs, every snapshot position sits in exactly one leaf of each
-        pair tree, so ``sum_p leaf_bound_p(point) + sum_cols col_max`` is an
-        admissible upper bound on the point's total score; positions whose
-        bound misses the query's pruning threshold — or that are tombstoned —
-        are dropped without being scored.  Without pairs, the first sorted
-        column enumerates candidates through vectorized range probes.  With no
-        usable bound the candidate set degenerates to the live snapshot (the
-        vectorized-scan worst case).  The returned bounds stay aligned with the
-        positions so the verification stage can re-prune after tightening.
-        """
-        m = len(spec)
-        n_total = len(state.rows)
-        if state.pairs:
-            candidates = []
-            for j in range(m):
-                bound = np.full(n_total, column_total[j])
-                for p, leaf_of_position in enumerate(state.pair_leaf_of_position):
-                    bound += pair_ubs[p][j][leaf_of_position]
-                if not np.isfinite(threshold[j]):
-                    positions = live_positions
-                else:
-                    positions = np.flatnonzero((bound >= threshold[j]) & state.live)
-                candidates.append((positions, bound[positions]))
-            return candidates
-
-        # No 2D pairs: enumerate through the first sorted column instead
-        # (vectorized range probes on the sorted values).
-        pairing = self._aggregator.pairing
-        if pairing.leftover_repulsive:
-            dim = pairing.leftover_repulsive[0]
-            repulsive = True
-        else:
-            dim = pairing.leftover_attractive[0]
-            repulsive = False
-        values = state.col_values[dim]
-        column_positions = state.col_positions[dim]
-        weight = self._weight_column(spec, dim)
-        targets = spec.points[:, dim]
-        other_max = np.zeros(m)
-        for other_dim, contribution in column_max.items():
-            if other_dim != dim:
-                other_max = other_max + contribution
-        need = threshold - other_max
-        sign = 1.0 if repulsive else -1.0
-
-        def with_bounds(positions_j, values_j, j):
-            live = state.live[positions_j]
-            positions_j = positions_j[live]
-            bounds_j = other_max[j] + sign * weight[j] * np.abs(
-                values_j[live] - targets[j]
-            )
-            return positions_j, bounds_j
-
-        candidates = []
-        if repulsive:
-            # Keep rows with weight*|v - q| >= need: two tails of the sorted order.
-            cut = need / weight
-            low_stop = np.searchsorted(values, targets - cut, side="right")
-            high_start = np.searchsorted(values, targets + cut, side="left")
-            for j in range(m):
-                if not np.isfinite(need[j]) or need[j] <= 0.0:
-                    candidates.append(with_bounds(column_positions, values, j))
-                else:
-                    candidates.append(
-                        with_bounds(
-                            np.concatenate(
-                                [
-                                    column_positions[: low_stop[j]],
-                                    column_positions[high_start[j] :],
-                                ]
-                            ),
-                            np.concatenate(
-                                [values[: low_stop[j]], values[high_start[j] :]]
-                            ),
-                            j,
-                        )
-                    )
-        else:
-            # Keep rows with -weight*|v - q| >= need: a window around the query.
-            window = np.where(need <= 0.0, -need / weight, 0.0)
-            starts = np.searchsorted(values, targets - window, side="left")
-            stops = np.searchsorted(values, targets + window, side="right")
-            for j in range(m):
-                if not np.isfinite(need[j]) or need[j] > 0.0:
-                    # Non-finite: no usable seed.  Positive: unreachable bound
-                    # (the seeded k-th best already exceeds what this
-                    # subproblem allows); fall back to everything to stay
-                    # trivially safe.
-                    candidates.append(with_bounds(column_positions, values, j))
-                else:
-                    candidates.append(
-                        with_bounds(
-                            column_positions[starts[j] : stops[j]],
-                            values[starts[j] : stops[j]],
-                            j,
-                        )
-                    )
-        return candidates
 
 
 class SessionSnapshot:
@@ -1881,27 +1545,419 @@ class SessionSnapshot:
         return self._session._data_magnitude(self.state)
 
 
+# --------------------------------------------------------------- level kernels
+# The filter-and-verify pipeline over one level's pinned :class:`SessionState`.
+# Each kernel is a function of ``(state, spec)``: the spec carries the
+# dimension roles, so an SD level and a ``TopKIndex`` view read as a one-pair
+# level (:meth:`_FlatTree.level`) run the same code.  The exact scorer is an
+# argument of :func:`_level_execute`/:func:`_level_filter`; each engine passes
+# its own.
+def _weight_column(spec: BatchQuerySpec, dim: int) -> np.ndarray:
+    """The per-query weight column of a scored dimension."""
+    if dim in spec.repulsive:
+        return spec.alpha[:, spec.repulsive.index(dim)]
+    return spec.beta[:, spec.attractive.index(dim)]
+
+
+def _score_block(state, positions: np.ndarray, spec: BatchQuerySpec) -> np.ndarray:
+    """Scores of the sampled positions for every query: ``(m, p)``.
+
+    Always accumulates in index term order — the result only seeds the
+    pruning bound, and ``_PRUNE_SLACK`` absorbs any ulp-level difference
+    from a query's own term order or an engine's own scorer.
+    """
+    scores = np.zeros((len(spec), len(positions)))
+    for i, dim in enumerate(spec.repulsive):
+        values = state.columns_by_dim[dim][positions]
+        scores += spec.alpha[:, i][:, None] * np.abs(
+            values[None, :] - spec.points[:, dim][:, None]
+        )
+    for i, dim in enumerate(spec.attractive):
+        values = state.columns_by_dim[dim][positions]
+        scores -= spec.beta[:, i][:, None] * np.abs(
+            values[None, :] - spec.points[:, dim][:, None]
+        )
+    return scores
+
+
+def _score_one(
+    state, positions: np.ndarray, spec: BatchQuerySpec, j: int
+) -> np.ndarray:
+    """Exact scores of candidate positions for query ``j``: the SD scorer.
+
+    Accumulates the weighted terms in the query's own role order — the
+    exact floating-point order of
+    :func:`repro.core.query.make_fast_scorer` — so each score is
+    bit-identical to the sequential path's.  ``state`` may be a level or
+    the LSM delta.
+    """
+    rep_order, att_order = spec.term_order(j)
+    scores = np.zeros(len(positions))
+    for dim in rep_order:
+        weight = spec.alpha[j, spec.repulsive.index(dim)]
+        scores += weight * np.abs(
+            state.columns_by_dim[dim][positions] - spec.points[j, dim]
+        )
+    for dim in att_order:
+        weight = spec.beta[j, spec.attractive.index(dim)]
+        scores -= weight * np.abs(
+            state.columns_by_dim[dim][positions] - spec.points[j, dim]
+        )
+    return scores
+
+
+def _column_max_contribution(
+    values: np.ndarray, spec: BatchQuerySpec, dim: int
+) -> np.ndarray:
+    """Per-query maximum contribution of dimension ``dim`` over ``values``.
+
+    ``values`` are sorted ascending.  A repulsive dimension contributes at
+    most ``alpha * farthest_distance``, an attractive one at most
+    ``-beta * nearest_distance``; both probes run over all queries in one
+    ``searchsorted``-style kernel.  A level's sorted columns include
+    tombstoned rows — a dead row can only move the farthest value out or the
+    nearest value in, which loosens the bound admissibly.
+    """
+    if len(values) == 0:
+        return np.zeros(len(spec))
+    targets = spec.points[:, dim]
+    weight = _weight_column(spec, dim)
+    if dim in spec.repulsive:
+        farthest = np.maximum(np.abs(values[0] - targets), np.abs(values[-1] - targets))
+        return weight * farthest
+    positions = np.searchsorted(values, targets)
+    nearest = np.full(len(targets), np.inf)
+    right = positions < len(values)
+    nearest[right] = np.abs(values[np.minimum(positions[right], len(values) - 1)] - targets[right])
+    left = positions > 0
+    nearest[left] = np.minimum(
+        nearest[left], np.abs(values[positions[left] - 1] - targets[left])
+    )
+    return -weight * nearest
+
+
+def _source_sample_scores(source, spec: BatchQuerySpec, pool: int) -> np.ndarray:
+    """:meth:`QuerySession.sample_scores` over one level's state or the delta."""
+    if source.num_live == 0:
+        return np.empty((len(spec), 0))
+    live = source.live_positions()
+    return _score_block(source, live[_seed_sample(len(live), pool)], spec)
+
+
+def _level_upper_bounds(state: SessionState, spec: BatchQuerySpec) -> np.ndarray:
+    """:meth:`QuerySession.upper_bounds` over one level's state."""
+    m = len(spec)
+    if state.num_live == 0:
+        return np.full(m, -math.inf)
+    ub = np.zeros(m)
+    for (rep_dim, att_dim, _flat), collapsed in zip(
+        state.pairs, state.collapsed_pairs()
+    ):
+        if collapsed.num_leaves == 0:
+            return np.full(m, -math.inf)
+        ub += leaf_score_bounds(
+            collapsed,
+            _weight_column(spec, rep_dim),
+            _weight_column(spec, att_dim),
+            spec.points[:, att_dim],
+            spec.points[:, rep_dim],
+        )[:, 0]
+    for dim, values in state.col_values.items():
+        ub += _column_max_contribution(values, spec, dim)
+    return ub
+
+
+def _level_execute(
+    state: SessionState,
+    spec: BatchQuerySpec,
+    lower_bounds,
+    label: str,
+    deadline: Optional[Deadline] = None,
+    score=_score_one,
+) -> BatchResult:
+    """The filter-and-verify pipeline over one level's pinned state, under
+    a threshold seeded from the level's own sample (the flat path, each
+    shard probe and every ``TopKIndex`` read); ``lower_bounds``, when
+    given, tighten it.  ``score`` is the engine's exact scorer (see
+    :func:`_level_filter`); the seed sample is scored in index term order,
+    whose ulps the threshold's slack absorbs."""
+    magnitude = state.magnitude()
+    threshold = np.full(len(spec), -math.inf)
+    if len(spec) and state.num_live:
+        for dim in state.columns_by_dim:
+            magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
+        live_positions = state.live_positions()
+        threshold = _seeded_threshold(
+            lambda sample: _score_block(state, live_positions[sample], spec),
+            np.minimum(spec.ks, state.num_live),
+            state.num_live,
+            spec.alpha.sum(axis=1) + spec.beta.sum(axis=1),
+            magnitude,
+        )
+        if lower_bounds is not None:
+            threshold = np.maximum(threshold, np.asarray(lower_bounds, dtype=float))
+    return _level_filter(state, spec, threshold, magnitude, label, deadline, score)
+
+
+def _level_filter(
+    state: SessionState,
+    spec: BatchQuerySpec,
+    threshold: np.ndarray,
+    magnitude: float,
+    label: str,
+    deadline: Optional[Deadline] = None,
+    score=_score_one,
+) -> BatchResult:
+    """Filter and verify one level's pinned state under ``threshold``.
+
+    ``threshold`` holds admissible per-query pruning bounds, already
+    lowered by :func:`_prune_bound`'s slack; ``magnitude`` must cover
+    the level's scored coordinates and the queries' (it sizes the
+    verify stage's own slack).  The LSM path passes the threshold it
+    pooled over every source of its world, so no level seeds twice.
+    ``score(state, positions, spec, j)`` gives query ``j``'s exact scores
+    of the positions; stage 2b's head and the final verify use it.
+    """
+    faults.fire(_FP_KERNEL)
+    if deadline is not None:
+        deadline.check()
+    m = len(spec)
+    n_live = state.num_live
+    if m == 0:
+        return BatchResult(results=[], algorithm=label)
+    if n_live == 0:
+        return BatchResult(
+            results=[TopKResult(matches=[], algorithm=label) for _ in range(m)],
+            algorithm=label,
+        )
+    ks_eff = np.minimum(spec.ks, n_live)
+    live_positions = state.live_positions()
+
+    # Per-pair leaf bounds (shared traversal + per-partition resolution).
+    pair_ubs: List[np.ndarray] = []
+    for rep_dim, att_dim, flat in state.pairs:
+        pair_ubs.append(
+            leaf_score_bounds(
+                flat,
+                _weight_column(spec, rep_dim),
+                _weight_column(spec, att_dim),
+                spec.points[:, att_dim],
+                spec.points[:, rep_dim],
+            )
+        )
+
+    column_max = {
+        dim: _column_max_contribution(values, spec, dim)
+        for dim, values in state.col_values.items()
+    }
+    weight_scale = spec.alpha.sum(axis=1) + spec.beta.sum(axis=1)
+
+    column_total = np.zeros(m)
+    for contribution in column_max.values():
+        column_total = column_total + contribution
+
+    candidates = _enumerate_candidates(
+        state, spec, pair_ubs, column_total, column_max, threshold, live_positions
+    )
+
+    results: List[TopKResult] = []
+    for j in range(m):
+        # Verification dominates the kernel; yield to the deadline between
+        # queries so a starved budget stops the batch at a clean boundary.
+        if deadline is not None:
+            deadline.check()
+        positions, cand_bounds = candidates[j]
+        k_eff = int(ks_eff[j])
+        if state.pairs and (
+            len(state.pairs) + len(state.col_values) >= 2
+        ) and len(positions) > max(_VERIFY_POOL, 4 * k_eff):
+            # Stage 2a: per-candidate *tight* bounds.  Summing per-pair
+            # leaf bounds decorrelates the pairs (the bound assumes one
+            # point is simultaneously best in every pair's leaf), which
+            # dominates the residual over-fetch once the leaf bounds
+            # themselves are tight.  Replace the first pair's leaf bound
+            # with that pair's *exact* partial score — still admissible,
+            # far better correlated with the true score — so both the
+            # refine head selection and the re-prune below work on bounds
+            # that rank candidates nearly like their exact scores.
+            rep_dim, att_dim, _flat = state.pairs[0]
+            rep_w = _weight_column(spec, rep_dim)[j]
+            att_w = _weight_column(spec, att_dim)[j]
+            tight = rep_w * np.abs(
+                state.columns_by_dim[rep_dim][positions]
+                - spec.points[j, rep_dim]
+            ) - att_w * np.abs(
+                state.columns_by_dim[att_dim][positions]
+                - spec.points[j, att_dim]
+            )
+            tight += column_total[j]
+            for p in range(1, len(state.pairs)):
+                tight += pair_ubs[p][j][
+                    state.pair_leaf_of_position[p][positions]
+                ]
+            cand_bounds = np.minimum(cand_bounds, tight)
+        # Stage 2b: tighten the threshold to the exact k-th best of the
+        # best candidates by bound, then re-prune the rest against it.
+        positions, refined, head_count = _refine_candidates(
+            positions,
+            cand_bounds,
+            k_eff,
+            lambda sample: score(state, sample, spec, j),
+            float(weight_scale[j]),
+            magnitude,
+        )
+        # Exact scorings performed: the refine head plus the final verify
+        # pass (head survivors are rescored — bounded by max(64, 4k)).
+        examined = head_count + len(positions)
+        scores = score(state, positions, spec, j)
+        top = select_topk(scores, state.rows[positions], k_eff)
+        chosen = positions[top]
+        matches = [
+            Match(row_id=row, score=value, point=tuple(point))
+            for row, value, point in zip(
+                state.rows[chosen].tolist(),
+                scores[top].tolist(),
+                state.matrix[chosen].tolist(),
+            )
+        ]
+        results.append(
+            TopKResult(
+                matches=matches,
+                candidates_examined=examined,
+                full_evaluations=examined,
+                algorithm=label,
+            )
+        )
+    return BatchResult(results=results, algorithm=label)
+
+
+def _enumerate_candidates(
+    state: SessionState,
+    spec: BatchQuerySpec,
+    pair_ubs: List[np.ndarray],
+    column_total: np.ndarray,
+    column_max: Dict[int, np.ndarray],
+    threshold: np.ndarray,
+    live_positions: np.ndarray,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-query ``(positions, bounds)``, pruned by admissible point bounds.
+
+    With 2D pairs, every snapshot position sits in exactly one leaf of each
+    pair tree, so ``sum_p leaf_bound_p(point) + sum_cols col_max`` is an
+    admissible upper bound on the point's total score; positions whose
+    bound misses the query's pruning threshold — or that are tombstoned —
+    are dropped without being scored.  Without pairs, the first sorted
+    column enumerates candidates through vectorized range probes.  With no
+    usable bound the candidate set degenerates to the live snapshot (the
+    vectorized-scan worst case).  The returned bounds stay aligned with the
+    positions so the verification stage can re-prune after tightening.
+    """
+    m = len(spec)
+    if state.pairs:
+        leaf_maps = state.pair_leaf_of_position
+        candidates = []
+        for j in range(m):
+            # The column total joins the first pair's bound per leaf: the
+            # same sum, in the same order, as adding it per position.
+            bound = (column_total[j] + pair_ubs[0][j])[leaf_maps[0]]
+            for p in range(1, len(leaf_maps)):
+                bound += pair_ubs[p][j][leaf_maps[p]]
+            if not np.isfinite(threshold[j]):
+                positions = live_positions
+            else:
+                positions = np.flatnonzero((bound >= threshold[j]) & state.live)
+            candidates.append((positions, bound[positions]))
+        return candidates
+
+    # No 2D pairs, so every scored dimension has one role: enumerate through
+    # that role's first sorted column (vectorized range probes).
+    repulsive = bool(spec.repulsive)
+    dim = spec.repulsive[0] if repulsive else spec.attractive[0]
+    values = state.col_values[dim]
+    column_positions = state.col_positions[dim]
+    weight = _weight_column(spec, dim)
+    targets = spec.points[:, dim]
+    other_max = np.zeros(m)
+    for other_dim, contribution in column_max.items():
+        if other_dim != dim:
+            other_max = other_max + contribution
+    need = threshold - other_max
+    sign = 1.0 if repulsive else -1.0
+
+    def with_bounds(positions_j, values_j, j):
+        live = state.live[positions_j]
+        positions_j = positions_j[live]
+        bounds_j = other_max[j] + sign * weight[j] * np.abs(
+            values_j[live] - targets[j]
+        )
+        return positions_j, bounds_j
+
+    candidates = []
+    if repulsive:
+        # Keep rows with weight*|v - q| >= need: two tails of the sorted order.
+        cut = need / weight
+        low_stop = np.searchsorted(values, targets - cut, side="right")
+        high_start = np.searchsorted(values, targets + cut, side="left")
+        for j in range(m):
+            if not np.isfinite(need[j]) or need[j] <= 0.0:
+                candidates.append(with_bounds(column_positions, values, j))
+            else:
+                candidates.append(
+                    with_bounds(
+                        np.concatenate(
+                            [
+                                column_positions[: low_stop[j]],
+                                column_positions[high_start[j] :],
+                            ]
+                        ),
+                        np.concatenate(
+                            [values[: low_stop[j]], values[high_start[j] :]]
+                        ),
+                        j,
+                    )
+                )
+    else:
+        # Keep rows with -weight*|v - q| >= need: a window around the query.
+        window = np.where(need <= 0.0, -need / weight, 0.0)
+        starts = np.searchsorted(values, targets - window, side="left")
+        stops = np.searchsorted(values, targets + window, side="right")
+        for j in range(m):
+            if not np.isfinite(need[j]) or need[j] > 0.0:
+                # Non-finite: no usable seed.  Positive: unreachable bound
+                # (the seeded k-th best already exceeds what this
+                # subproblem allows); fall back to everything to stay
+                # trivially safe.
+                candidates.append(with_bounds(column_positions, values, j))
+            else:
+                candidates.append(
+                    with_bounds(
+                        column_positions[starts[j] : stops[j]],
+                        values[starts[j] : stops[j]],
+                        j,
+                    )
+                )
+    return candidates
+
+
 # ------------------------------------------------------------------ 2D batches
 def batch_topk_2d(
-    index,
+    flat: _FlatTree,
     qx,
     qy,
     k,
     alpha=1.0,
     beta=1.0,
-    flat: Optional[_FlatTree] = None,
     label: str = "sd-topk/batch",
 ) -> BatchResult:
-    """Vectorized batch execution for a single 2D :class:`TopKIndex`.
+    """Vectorized batch execution over a :class:`TopKIndex` flat view.
 
-    Same filter-and-verify scheme as :class:`QuerySession`, specialized to one
-    projection tree: flatten once, bound every leaf for every query in shared
-    per-partition kernels, prune with a seeded k-th best bound, then score the
-    survivors with the exact normalized-then-scaled formula of
-    ``TopKIndex.iter_best`` (bit-identical scores).  ``flat`` may be the
-    index's maintained flat session (``TopKIndex.flat_session``), in which case
-    tombstoned rows are filtered through its validity mask; by default the
-    tree is flattened fresh.
+    The front door of the level kernel for one 2D projection tree: it
+    validates the batch, builds its spec (x is the attractive dimension 0,
+    y the repulsive dimension 1) and runs :func:`_level_execute` on the
+    view's one-pair :meth:`_FlatTree.level`.  Survivors are verified with
+    the exact normalized-then-scaled formula of ``TopKIndex.iter_best``, so
+    scores are bit-identical to the ``"streams"`` strategy; tombstoned rows
+    are filtered through the view's validity mask.
     """
     qx, qy, ks = coerce_point_batch(qx, qy, k)
     m = len(qx)
@@ -1910,17 +1966,14 @@ def batch_topk_2d(
     for name, weights in (("alpha", alphas), ("beta", betas)):
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise ValueError(f"{name} weights must be finite and > 0")
-
-    if flat is None:
-        flat = _FlatTree(index.tree)
-    n_live = flat.live_count
-    if n_live == 0 or m == 0:
-        return BatchResult(
-            results=[TopKResult(matches=[], algorithm=label) for _ in range(m)],
-            algorithm=label,
-        )
-    ks_eff = np.minimum(ks, n_live)
-    live_positions = np.flatnonzero(flat.live)
+    spec = BatchQuerySpec(
+        points=np.column_stack((qx, qy)),
+        ks=ks,
+        alpha=alphas[:, None],
+        beta=betas[:, None],
+        repulsive=(1,),
+        attractive=(0,),
+    )
     # Normalize per query through Angle / math.hypot — np.hypot rounds a small
     # fraction of inputs differently, which would break bit-identity with the
     # sequential path's ``iter_best`` (Angle.from_weights + math.hypot).
@@ -1933,62 +1986,11 @@ def batch_topk_2d(
         sin[j] = angle.sin
         scale[j] = math.hypot(float(alphas[j]), float(betas[j]))
 
-    def exact_scores(positions: np.ndarray, j: int) -> np.ndarray:
-        normalized = cos[j] * np.abs(flat.y[positions] - qy[j]) - sin[j] * np.abs(
-            flat.x[positions] - qx[j]
+    def score(state, positions, _spec, j):
+        x, y = state.columns_by_dim[0], state.columns_by_dim[1]
+        normalized = cos[j] * np.abs(y[positions] - qy[j]) - sin[j] * np.abs(
+            x[positions] - qx[j]
         )
         return normalized * scale[j]
 
-    magnitude = max(
-        float(np.abs(flat.x).max()),
-        float(np.abs(flat.y).max()),
-        float(np.abs(qx).max()),
-        float(np.abs(qy).max()),
-    )
-    threshold = _seeded_threshold(
-        lambda sample: np.vstack(
-            [exact_scores(live_positions[sample], j) for j in range(m)]
-        ),
-        ks_eff,
-        n_live,
-        alphas + betas,
-        magnitude,
-    )
-
-    ub = leaf_score_bounds(flat, alphas, betas, qx, qy)
-    alive = ub >= threshold[:, None]
-    results: List[TopKResult] = []
-    for j in range(m):
-        if alive[j].all():
-            positions = live_positions
-        else:
-            positions = np.flatnonzero(alive[j][flat.leaf_of_pos] & flat.live)
-        positions, _refined, head_count = _refine_candidates(
-            positions,
-            ub[j][flat.leaf_of_pos[positions]],
-            int(ks_eff[j]),
-            lambda sample: exact_scores(sample, j),
-            float(alphas[j] + betas[j]),
-            magnitude,
-        )
-        examined = head_count + len(positions)
-        scores = exact_scores(positions, j)
-        rows = flat.rows[positions]
-        top = select_topk(scores, rows, int(ks_eff[j]))
-        matches = [
-            Match(
-                row_id=int(rows[i]),
-                score=float(scores[i]),
-                point=(float(flat.x[positions[i]]), float(flat.y[positions[i]])),
-            )
-            for i in top
-        ]
-        results.append(
-            TopKResult(
-                matches=matches,
-                candidates_examined=examined,
-                full_evaluations=examined,
-                algorithm=label,
-            )
-        )
-    return BatchResult(results=results, algorithm=label)
+    return _level_execute(flat.level(), spec, None, label, score=score)

@@ -50,7 +50,13 @@ from repro.core.batch import (
     QuerySession,
     SessionState,
     _column_magnitude,
+    _column_max_contribution,
+    _level_execute,
+    _level_filter,
+    _level_upper_bounds,
     _prune_bound,
+    _score_one,
+    _source_sample_scores,
     select_topk,
 )
 from repro.core.deadline import Deadline
@@ -187,7 +193,7 @@ class DeltaState:
     """One immutable published value of the mutable delta.
 
     Row ids, a matrix and a validity mask; the per-dimension columns let
-    the shared scoring kernels (:meth:`QuerySession._score_one`,
+    the shared scoring kernels (:func:`~repro.core.batch._score_one`,
     ``_score_block``) read a delta exactly like a
     :class:`~repro.core.batch.SessionState`.  ``num_live`` counts rows that
     have not been deleted again while still delta-resident — a
@@ -881,7 +887,7 @@ class LsmSession(QuerySession):
         self, world: LsmWorld, spec: BatchQuerySpec, pool: int
     ) -> np.ndarray:
         parts = [
-            self._source_sample_scores(source, spec, pool)
+            _source_sample_scores(source, spec, pool)
             for _scanned, source in self._sources(world)
         ]
         if not parts:
@@ -894,7 +900,7 @@ class LsmSession(QuerySession):
             bound = (
                 self._scan_upper_bounds(source, spec)
                 if scanned
-                else self._level_upper_bounds(source, spec)
+                else _level_upper_bounds(source, spec)
             )
             bounds = np.maximum(bounds, bound)
         return bounds
@@ -902,39 +908,20 @@ class LsmSession(QuerySession):
     def _scan_upper_bounds(self, source, spec: BatchQuerySpec) -> np.ndarray:
         """Admissible per-query score bound over a scanned source's live rows.
 
-        Per-dimension extremes, like the sorted-column bounds of the flat
-        kernels: a repulsive dimension contributes at most its farthest
-        distance, an attractive one at least its nearest.  Ulp-level term
+        Per-dimension extremes of the sorted live values, through the flat
+        kernels' own column bound (:func:`_column_max_contribution`): a
+        repulsive dimension contributes at most its farthest distance, an
+        attractive one at least its nearest.  Ulp-level term
         order differences are absorbed by the threshold-side slack
         (:func:`_prune_bound`), the same contract every other bound obeys.
         """
-        aggregator = self._aggregator
-        m = len(spec)
         alive = source.live_positions()
         if len(alive) == 0:
-            return np.full(m, -math.inf)
-        bounds = np.zeros(m)
-        for i, dim in enumerate(aggregator.repulsive):
-            values = source.columns_by_dim[dim][alive]
-            targets = spec.points[:, dim]
-            farthest = np.maximum(
-                np.abs(values.min() - targets), np.abs(values.max() - targets)
-            )
-            bounds += spec.alpha[:, i] * farthest
-        for i, dim in enumerate(aggregator.attractive):
+            return np.full(len(spec), -math.inf)
+        bounds = np.zeros(len(spec))
+        for dim in spec.repulsive + spec.attractive:
             values = np.sort(source.columns_by_dim[dim][alive])
-            targets = spec.points[:, dim]
-            at = np.searchsorted(values, targets)
-            nearest = np.full(m, np.inf)
-            right = at < len(values)
-            nearest[right] = np.abs(
-                values[np.minimum(at[right], len(values) - 1)] - targets[right]
-            )
-            left = at > 0
-            nearest[left] = np.minimum(
-                nearest[left], np.abs(values[at[left] - 1] - targets[left])
-            )
-            bounds -= spec.beta[:, i] * nearest
+            bounds += _column_max_contribution(values, spec, dim)
         return bounds
 
     def _scan_topk(
@@ -965,7 +952,7 @@ class LsmSession(QuerySession):
                 deadline.check()
             scores = np.concatenate(
                 [
-                    self._score_one(source, live, spec, j)
+                    _score_one(source, live, spec, j)
                     for source, live in zip(sources, alive)
                 ]
             )
@@ -1008,7 +995,7 @@ class LsmSession(QuerySession):
         # verbatim — the no-write serving path is byte-for-byte the PR 1-2
         # pipeline, merged paths only pay for the layers they actually have.
         if len(world.levels) == 1 and len(world.delta.rows) == 0:
-            return self._level_execute(
+            return _level_execute(
                 world.levels[0].state, spec, lower_bounds, _label, deadline=deadline
             )
         m = len(spec)
@@ -1048,7 +1035,7 @@ class LsmSession(QuerySession):
             magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
         weight_scale = spec.alpha.sum(axis=1) + spec.beta.sum(axis=1)
         sampled = np.hstack(
-            [self._source_sample_scores(level, spec, batch._SEED_POOL) for level in levels]
+            [_source_sample_scores(level, spec, batch._SEED_POOL) for level in levels]
         )
         kth_lower = np.full(m, -math.inf)
         for j in range(m):
@@ -1074,7 +1061,7 @@ class LsmSession(QuerySession):
         if len(levels) == 1:
             ubs = np.full((1, m), math.inf)
         else:
-            ubs = np.vstack([self._level_upper_bounds(level, spec) for level in levels])
+            ubs = np.vstack([_level_upper_bounds(level, spec) for level in levels])
         visit = np.argsort(-ubs, axis=0, kind="stable")
         queries = np.arange(m)
         for round_index in range(len(levels)):
@@ -1087,7 +1074,7 @@ class LsmSession(QuerySession):
             due = ubs[level_of, queries] >= threshold
             for p in np.unique(level_of[due]):
                 members = np.flatnonzero(due & (level_of == p))
-                sub_results = self._level_filter(
+                sub_results = _level_filter(
                     levels[p], spec.subset(members), threshold[members], magnitude,
                     _label, deadline=deadline,
                 ).results

@@ -1055,7 +1055,7 @@ def _restore_flat_tree(
     flat.leaf_max_y = (
         max_y if max_y is not None else np.full(flat.num_leaves, np.inf)
     )
-    flat._pos_of_row = None
+    flat._level = None
     return flat
 
 
@@ -1182,7 +1182,7 @@ def _rebuild_level(
         )
         flat.appended = 0
         flat.dead = 0
-        flat._pos_of_row = None
+        flat._level = None
         position_leaf = np.empty(count, dtype=np.int64)
         position_leaf[by_x] = flat.leaf_of_pos
         pairs.append((rep_dim, att_dim, flat))

@@ -65,7 +65,7 @@ from repro.core.results import BatchResult, IndexStats, ShardCoverage, TopKResul
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle)
     from repro.serving.breaker import CircuitBreaker, ResiliencePolicy
 
-__all__ = ["ShardRouter", "ShardedIndex", "ShardedSnapshot", "ShardedXYIndex"]
+__all__ = ["ShardRouter", "ShardedIndex", "ShardedSnapshot"]
 
 #: Fault point inside every shard probe attempt (``key`` = the integer shard
 #: id), fired before the shard kernel runs — the injection surface for
@@ -1133,81 +1133,3 @@ class ShardedSnapshot:
             beta=beta,
         )
         return self._engine._serve_snapshot(self, spec, deadline=deadline)
-
-
-class ShardedXYIndex:
-    """2D facade over a :class:`ShardedIndex` mirroring the x/y call shapes.
-
-    ``x`` is the attractive coordinate and ``y`` the repulsive one, exactly as
-    in :class:`repro.core.topk.TopKIndex` (``alpha`` weights ``|y - qy|``,
-    ``beta`` weights ``|x - qx|``).  Scores follow the SD-Index term order
-    ``alpha*|dy| - beta*|dx|`` — mathematically equal to the TopKIndex kernels,
-    bit-identical to the sharded/flat n-dimensional engines.  Default ``k``
-    and weights may be pinned at build time (the ``Top1Index.sharded``
-    apriori-parameter style) or passed per query (``TopKIndex.sharded``).
-    """
-
-    def __init__(
-        self,
-        x: Sequence[float],
-        y: Sequence[float],
-        num_shards: int = 4,
-        k: Optional[int] = None,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        row_ids: Optional[Sequence[int]] = None,
-        **options,
-    ) -> None:
-        xs = np.asarray(x, dtype=float)
-        ys = np.asarray(y, dtype=float)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("x and y must be 1-d arrays of equal length")
-        self.default_k = None if k is None else int(k)
-        self.default_alpha = float(alpha)
-        self.default_beta = float(beta)
-        self._inner = ShardedIndex(
-            np.column_stack([xs, ys]) if len(xs) else np.empty((0, 2)),
-            repulsive=(1,),
-            attractive=(0,),
-            num_shards=num_shards,
-            row_ids=row_ids,
-            **options,
-        )
-
-    @property
-    def inner(self) -> ShardedIndex:
-        """The underlying n-dimensional sharded engine."""
-        return self._inner
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def _resolve(self, k, alpha, beta) -> Tuple[int, float, float]:
-        k = self.default_k if k is None else int(k)
-        if k is None:
-            raise ValueError("k is required (none was pinned at build time)")
-        return (
-            k,
-            self.default_alpha if alpha is None else float(alpha),
-            self.default_beta if beta is None else float(beta),
-        )
-
-    def query(self, qx: float, qy: float, k=None, alpha=None, beta=None) -> TopKResult:
-        """Top-k for one 2D query point."""
-        k, alpha, beta = self._resolve(k, alpha, beta)
-        return self._inner.query([float(qx), float(qy)], k=k, alpha=[alpha], beta=[beta])
-
-    def batch_query(self, qx, qy, k=None, alpha=None, beta=None) -> BatchResult:
-        """Top-k for a batch of 2D query points."""
-        k, alpha, beta = self._resolve(k, alpha, beta)
-        points = np.column_stack(
-            [np.atleast_1d(np.asarray(qx, dtype=float)),
-             np.atleast_1d(np.asarray(qy, dtype=float))]
-        )
-        return self._inner.batch_query(points, k=k, alpha=[alpha], beta=[beta])
-
-    def insert(self, x: float, y: float, row_id: Optional[int] = None) -> int:
-        return self._inner.insert([float(x), float(y)], row_id=row_id)
-
-    def delete(self, row_id: int) -> None:
-        self._inner.delete(row_id)

@@ -182,40 +182,6 @@ class Top1Index:
         return cls(x, y, angle=Angle.from_weights(alpha, beta), k=k, row_ids=row_ids,
                    alpha=alpha, beta=beta)
 
-    @classmethod
-    def sharded(
-        cls,
-        x: Sequence[float],
-        y: Sequence[float],
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        k: int = 1,
-        num_shards: int = 4,
-        row_ids: Optional[Sequence[int]] = None,
-        **options,
-    ):
-        """A sharded serving engine with this index's apriori parameters pinned.
-
-        Returns a :class:`repro.core.sharding.ShardedXYIndex` whose
-        ``query(qx, qy)`` answers with the build-time ``k``/``alpha``/``beta``
-        (the Section 3 apriori-parameter contract) while rows are partitioned
-        across ``num_shards`` shards.  Unlike :class:`Top1Index` the sharded
-        engine also accepts a per-query ``k`` above the pinned one — it is a
-        runtime-k structure underneath.
-        """
-        from repro.core.sharding import ShardedXYIndex
-
-        return ShardedXYIndex(
-            x,
-            y,
-            num_shards=num_shards,
-            k=k,
-            alpha=alpha,
-            beta=beta,
-            row_ids=row_ids,
-            **options,
-        )
-
     def _rebuild(self) -> None:
         """Recompute the region structures from the full current point set."""
         self._mutations += 1
@@ -298,6 +264,8 @@ class Top1Index:
             k = self.k
         if k < 1 or k > self.k:
             raise ValueError(f"k must be in [1, {self.k}] for this index, got {k}")
+        if not (math.isfinite(qx) and math.isfinite(qy)):
+            raise ValueError("query coordinates must be finite")
         candidates: Dict[int, float] = {}
         examined = 0
         kind, structures = self._region_arrays()

@@ -4,12 +4,15 @@
 and implements three query strategies:
 
 ``"flat"`` (default)
-    Run the vectorized filter-and-verify kernels of :mod:`repro.core.batch`
-    over a cached flattened view of the tree (the ``m = 1`` case of the batch
-    engine).  The flat view is built lazily and *maintained*: inserts append
+    Run the filter-and-verify level kernel of :mod:`repro.core.batch` — the
+    one ``SDIndex`` levels run — over a cached flattened view of the tree,
+    read as a one-pair level (the ``m = 1`` case of :meth:`TopKIndex.batch_query`).
+    The flat view is built lazily and *maintained*: inserts append
     leaf-assigned rows and loosen only the covering leaf's bounds, deletes
-    tombstone through a validity mask, and the view reflattens only once
-    garbage crosses a threshold (see DESIGN.md).  Scores are bit-identical to
+    tombstone through a validity mask (one vectorized id compare), each on a
+    copy-on-write clone, and the view reflattens only once garbage crosses a
+    threshold (see DESIGN.md).  Survivors are verified with this index's own
+    normalized-then-scaled score, so scores are bit-identical to
     ``"streams"``.
 
 ``"streams"``
@@ -90,28 +93,6 @@ class TopKIndex:
     def __len__(self) -> int:
         return len(self.tree)
 
-    @classmethod
-    def sharded(
-        cls,
-        x: Sequence[float],
-        y: Sequence[float],
-        num_shards: int = 4,
-        row_ids: Optional[Sequence[int]] = None,
-        **options,
-    ):
-        """A sharded serving engine over the same 2D point set.
-
-        Returns a :class:`repro.core.sharding.ShardedXYIndex` whose
-        ``query(qx, qy, k, alpha, beta)`` mirrors :meth:`query`; rows are
-        partitioned across ``num_shards`` shards and probed in bound order.
-        Scores follow the SD-Index term order ``alpha*|dy| - beta*|dx|``
-        (mathematically equal to this index's normalized-then-scaled kernel,
-        not bit-for-bit).
-        """
-        from repro.core.sharding import ShardedXYIndex
-
-        return ShardedXYIndex(x, y, num_shards=num_shards, row_ids=row_ids, **options)
-
     # ------------------------------------------------------------------ queries
     def flat_session(self):
         """The cached flattened view of the tree (build or reflatten lazily)."""
@@ -150,6 +131,8 @@ class TopKIndex:
         """Return the top-``k`` points for query ``(qx, qy)`` and weights ``alpha, beta``."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        if not (math.isfinite(qx) and math.isfinite(qy)):
+            raise ValueError("query coordinates must be finite")
         if strategy == "flat":
             return self._query_flat(qx, qy, k, alpha, beta)
         if strategy == "streams":
@@ -169,13 +152,7 @@ class TopKIndex:
         from repro.core.batch import batch_topk_2d
 
         return batch_topk_2d(
-            self,
-            [qx],
-            [qy],
-            k,
-            alpha=alpha,
-            beta=beta,
-            flat=self.flat_session(),
+            self.flat_session(), [qx], [qy], k, alpha=alpha, beta=beta,
             label="sd-topk/flat",
         ).results[0]
 
@@ -197,8 +174,7 @@ class TopKIndex:
         """
         from repro.core.batch import batch_topk_2d
 
-        return batch_topk_2d(self, qx, qy, k, alpha=alpha, beta=beta,
-                             flat=self.flat_session())
+        return batch_topk_2d(self.flat_session(), qx, qy, k, alpha=alpha, beta=beta)
 
     def iter_best(
         self,
@@ -487,6 +463,5 @@ class TopKSnapshot:
         from repro.core.batch import batch_topk_2d
 
         return batch_topk_2d(
-            self._index, qx, qy, k, alpha=alpha, beta=beta, flat=self.flat,
-            label="sd-topk/snapshot",
+            self.flat, qx, qy, k, alpha=alpha, beta=beta, label="sd-topk/snapshot"
         )

@@ -293,6 +293,13 @@ class TestTopKFlatFastPath:
                 victim = int(rng.choice(list(live)))
                 index.delete(victim)
                 del live[victim]
+            if step % 5 == 0:
+                # Reads between writes: each caches its view's level, which
+                # the next write's clone must not inherit.
+                qx, qy = rng.random(2)
+                flat = index.query(qx, qy, k=8)
+                streams = index.query(qx, qy, k=8, strategy="streams")
+                assert flat.row_ids == streams.row_ids
         assert index.session_reflattens == 0
         rows = list(live)
         matrix = np.array([live[r] for r in rows])
@@ -303,6 +310,26 @@ class TestTopKFlatFastPath:
         assert flat.row_ids == streams.row_ids
         query = SDQuery.simple([qx, qy], [1], [0], k=8)
         assert_same_scores(flat, _oracle(matrix, rows, query))
+        # The query above built the view's level; a new best row inserted
+        # now must lead the next flat answer.
+        best = index.insert(qx, qy + 5.0)
+        assert index.query(qx, qy, k=8).row_ids[0] == best
+
+    def test_delete_of_a_row_appended_after_the_view(self):
+        rng = np.random.default_rng(54)
+        data = rng.random((300, 2))
+        index = TopKIndex(data[:, 0], data[:, 1])
+        index.query(0.5, 0.5, k=3)  # builds the flat view
+        appended = index.insert(0.5, 5.0)  # the best row for (0.5, 0.0)
+        with index.snapshot() as before:
+            index.delete(appended)
+            flat = index.query(0.5, 0.0, k=5)
+            streams = index.query(0.5, 0.0, k=5, strategy="streams")
+            assert appended not in flat.row_ids
+            assert flat.scores == streams.scores
+            assert flat.row_ids == streams.row_ids
+            # A snapshot pinned before the delete still holds the row.
+            assert before.query(0.5, 0.0, k=5).row_ids[0] == appended
 
     def test_degenerate_weights_fall_back(self):
         rng = np.random.default_rng(53)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,22 @@ class TestUpdates:
             qx, qy = rng.random(2)
             expected = oracle_topk(matrix, make_query(qx, qy, k=3))
             assert_same_scores(index.query(qx, qy, k=3), expected)
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_entry_point_rejects(self, small_2d_dataset, value, k):
+        """The envelope (k = 1) and k-list lookups would return an arbitrary
+        row for a non-finite coordinate; every front door refuses it."""
+        index = Top1Index(small_2d_dataset[:, 0], small_2d_dataset[:, 1], k=k)
+        with index.snapshot() as snap:
+            for reader in (index, snap):
+                for qx, qy in ((value, 0.5), (0.5, value)):
+                    with pytest.raises(ValueError, match="query coordinates must be finite"):
+                        reader.query(qx, qy)
+                    with pytest.raises(ValueError, match="query coordinates must be finite"):
+                        reader.batch_query([0.2, qx], [0.5, qy])
 
 
 class TestStats:

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.angles import AngleGrid
 from repro.core.query import SDQuery
 from repro.core.topk import TopKIndex
+from repro.faults import FaultPlane, FaultRule, InjectedFault
 from tests.conftest import assert_same_scores, oracle_topk
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def make_query(qx, qy, k=5, alpha=1.0, beta=1.0):
@@ -152,6 +158,55 @@ class TestUpdates:
         index.rebuild()
         after = index.query(0.3, 0.7, k=10)
         assert_same_scores(before, after)
+
+
+class TestNonFiniteQueries:
+    """Every front door refuses a NaN or infinite query coordinate, as
+    ``SDIndex`` does, before any strategy runs."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("strategy", ["flat", "streams", "claim6"])
+    def test_query_rejects(self, index_and_data, value, strategy):
+        index, _data = index_and_data
+        for qx, qy in ((value, 0.5), (0.5, value)):
+            with pytest.raises(ValueError, match="query coordinates must be finite"):
+                index.query(qx, qy, k=3, strategy=strategy)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_batch_and_snapshot_reject(self, index_and_data, value):
+        index, _data = index_and_data
+        good, bad = np.array([0.2, 0.5]), np.array([0.2, value])
+        with index.snapshot() as snap:
+            for qx, qy in ((bad, good), (good, bad)):
+                for batch_query in (index.batch_query, snap.batch_query):
+                    with pytest.raises(ValueError, match="query coordinates must be finite"):
+                        batch_query(qx, qy, k=3)
+                with pytest.raises(ValueError, match="query coordinates must be finite"):
+                    snap.query(qx[1], qy[1], k=3)
+
+
+class TestKernelFaults:
+    def test_injected_kernel_fault_surfaces_then_clears(self, rng):
+        """Flat reads run the shared level kernel, so its fault point fires
+        on every front door; once the plane is gone the answers are exact."""
+        data = rng.random((400, 2))
+        index = TopKIndex(data[:, 0], data[:, 1])
+        plane = FaultPlane([FaultRule("batch.kernel", transient=False)])
+        with index.snapshot() as snap:
+            with faults.fault_plane(plane):
+                for read in (
+                    lambda: index.query(0.3, 0.6, k=5),
+                    lambda: index.batch_query([0.3, 0.7], [0.6, 0.2], k=5),
+                    lambda: snap.query(0.3, 0.6, k=5),
+                ):
+                    with pytest.raises(InjectedFault):
+                        read()
+            assert plane.stats()["injections"] == {"batch.kernel": 3}
+        for qx, qy in ((0.3, 0.6), (0.7, 0.2)):
+            flat = index.query(qx, qy, k=5)
+            streams = index.query(qx, qy, k=5, strategy="streams")
+            assert flat.row_ids == streams.row_ids
+            assert flat.scores == streams.scores
 
 
 class TestStats:
