@@ -213,24 +213,21 @@ def _column_magnitude(columns_by_dim: Dict[int, np.ndarray]) -> float:
 
 
 def _seeded_threshold(
-    score_sample,
+    seed_scores: np.ndarray,
     ks_eff: np.ndarray,
-    n_live: int,
     weight_scale: np.ndarray,
     magnitude: float,
 ) -> np.ndarray:
     """Per-query pruning thresholds from an evenly spaced seed sample.
 
-    ``score_sample(positions)`` must return the ``(m, pool)`` exact scores of
-    the sampled positions, at most ``_SEED_POOL`` of them.  Each query's k-th
-    best seed score is a lower bound on its true k-th best, loosened by
-    :func:`_prune_bound`'s float slack so pruning stays admissible.  The
-    seeding of :func:`_level_execute`, which every engine's lone level runs
-    (the LSM path pools one seed over a layered world instead).
+    ``seed_scores`` holds the ``(m, pool)`` scores of the sampled live rows.
+    Each query's k-th best seed score is a lower bound on its true k-th
+    best, loosened by :func:`_prune_bound`'s float slack so pruning stays
+    admissible.  The seeding of :func:`_level_execute`, which every engine's
+    lone level runs (the LSM path pools one seed over a layered world
+    instead).
     """
-    sample = _seed_sample(n_live, _SEED_POOL)
-    seed_scores = score_sample(sample)
-    pool = len(sample)
+    pool = seed_scores.shape[1]
     kth_lower = np.full(len(ks_eff), -math.inf)
     for j in range(len(ks_eff)):
         k_j = int(ks_eff[j])
@@ -1686,11 +1683,9 @@ def _level_execute(
     if len(spec) and state.num_live:
         for dim in state.columns_by_dim:
             magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
-        live_positions = state.live_positions()
         threshold = _seeded_threshold(
-            lambda sample: _score_block(state, live_positions[sample], spec),
+            _source_sample_scores(state, spec, _SEED_POOL),
             np.minimum(spec.ks, state.num_live),
-            state.num_live,
             spec.alpha.sum(axis=1) + spec.beta.sum(axis=1),
             magnitude,
         )

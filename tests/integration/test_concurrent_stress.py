@@ -281,6 +281,77 @@ def test_legacy_queries_racing_a_writer_build_exact_pair_trees():
     index.close()
 
 
+@pytest.mark.stress
+def test_topk_reads_racing_a_writer_match_their_pinned_view():
+    """``TopKIndex`` readers fill and share each published view's one-pair
+    level (``_FlatTree.level``) while a writer publishes patched clones.
+    Every pinned read must answer from exactly the rows its view holds: a
+    level leaked into a clone, or filled from a view still being patched,
+    would return a deleted row or miss an inserted one."""
+    rng = np.random.default_rng(91)
+    data = rng.random((300, 2))
+    index = TopKIndex(data[:, 0], data[:, 1])
+    index.query(0.5, 0.5, k=3)  # build the view, so every write patches a clone
+    errors = []
+    checks = [0, 0, 0]
+    writer_done = threading.Event()
+    start = threading.Barrier(1 + len(checks))
+
+    def writer():
+        try:
+            wrng = np.random.default_rng(92)
+            owned = list(range(300))
+            start.wait(timeout=JOIN_TIMEOUT)
+            for step in range(600):
+                if step % 2:
+                    index.delete(owned.pop(int(wrng.integers(len(owned)))))
+                else:
+                    owned.append(index.insert(*wrng.random(2)))
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+        finally:
+            writer_done.set()
+
+    def reader(rid: int):
+        try:
+            qrng = np.random.default_rng(93 + rid)
+            start.wait(timeout=JOIN_TIMEOUT)
+            done = False
+            while not done:
+                done = writer_done.is_set()  # one last read after the writer
+                qx, qy = qrng.random(2)
+                with index.snapshot() as snap:
+                    got = snap.query(qx, qy, k=5)
+                    flat = snap.flat
+                    rows = flat.rows[flat.live]
+                    matrix = np.column_stack((flat.x[flat.live], flat.y[flat.live]))
+                scan = SequentialScan(matrix, [1], [0], row_ids=rows.tolist())
+                want = scan.batch_query(np.array([[qx, qy]]), k=5).results[0]
+                assert got.row_ids == want.row_ids
+                checks[rid] += 1
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    # Four threads: more than a 2-core host has cores.
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader, args=(rid,)) for rid in range(len(checks))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=JOIN_TIMEOUT)
+            assert not thread.is_alive()
+    finally:
+        writer_done.set()
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert all(checks)
+    assert index.flat_epochs.leak_report()["pinned_readers"] == 0
+
+
 class TestExecutorLifecycle:
     """Satellite: close() idempotence, serve-after-close, exception masking."""
 
